@@ -31,10 +31,11 @@ func WaveTraversalRounds(pathLen, period int, p float64, r *rng.Stream) (int, er
 		return 0, fmt.Errorf("broadcast: fault probability %v outside [0,1)", p)
 	}
 	rounds := 0
+	cross := rng.NewGeometric(1 - p)
 	for x := 0; x < pathLen; x++ {
 		// Geometric number of attempts to cross this edge; each failed
 		// attempt costs a full period, the successful one costs one round.
-		attempts := r.Geometric(1 - p)
+		attempts := cross.Draw(r)
 		rounds += (attempts-1)*period + 1
 	}
 	return rounds, nil

@@ -76,7 +76,16 @@ func executeBatchLanes(t testing.TB, g *graph.Graph, cfg Config, eng Engine, see
 	if net.Engine() != eng {
 		t.Fatalf("engine resolved to %v, want %v", net.Engine(), eng)
 	}
-	n := g.N()
+	return executeBatchOn(t, net, rnds, roundsFor, schedule)
+}
+
+// executeBatchOn is executeBatchLanes' recording loop over an existing
+// batch network whose lanes draw from rnds, so a Reset network can be
+// driven exactly like a fresh one.
+func executeBatchOn(t testing.TB, net *BatchNetwork[int32], rnds []*rng.Stream, roundsFor func(lane int) int, schedule func(lane, round, v int) bool) []batchExecution {
+	t.Helper()
+	w := len(rnds)
+	n := net.Graph().N()
 	maxRounds := 0
 	for l := 0; l < w; l++ {
 		if r := roundsFor(l); r > maxRounds {

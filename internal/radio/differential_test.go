@@ -62,6 +62,14 @@ func executeEngine(t testing.TB, g *graph.Graph, cfg Config, eng Engine, mode st
 	if net.Engine() != eng {
 		t.Fatalf("engine resolved to %v, want %v", net.Engine(), eng)
 	}
+	return executeOn(t, net, mode, rounds, schedule)
+}
+
+// executeOn is executeEngine's recording loop over an existing network,
+// so a Reset network can be driven exactly like a fresh one.
+func executeOn(t testing.TB, net *Network[int32], mode stepMode, rounds int, schedule func(round, v int) bool) execution {
+	t.Helper()
+	g := net.Graph()
 	var ex execution
 	net.SetTrace(func(round int, broadcasters, receivers []int32) {
 		ex.traces = append(ex.traces, traceRecord{

@@ -22,6 +22,12 @@ import (
 // of the id range, as in an early Decay phase or a single WCT cluster
 // layer's schedule slot.
 //
+// A grid round under that schedule touches only a few dozen listeners.
+// Two sparse families at n = 4096 cover large touched sets: a star whose
+// hub broadcasts alongside n/16 leaves (every node touched), and sparse
+// GNP (mean degree 8) with n/8 broadcasters (about two thirds of the
+// nodes touched).
+//
 // Two extra rows per n quantify the fast path against its own
 // compatibility layers on the dense engine: "step" drives the identical
 // round through the []bool adapter (the packing scan the set-native API
@@ -33,6 +39,7 @@ func EngineMicrobench() []benchreport.Microbench {
 	for _, n := range []int{256, 1024} {
 		grid := gridTopology(n)
 		complete := graph.Complete(n)
+		tx := microbenchTx(n, n/2, n/64)
 		for _, fault := range []FaultModel{Faultless, SenderFaults, ReceiverFaults} {
 			cfg := Config{Fault: fault}
 			if fault != Faultless {
@@ -48,7 +55,7 @@ func EngineMicrobench() []benchreport.Microbench {
 				{Implicit, complete, "implicit/complete"},
 			} {
 				cfg.Engine = m.engine
-				ns, allocs := measureRounds(m.top, cfg, n, stepModeSet, false)
+				ns, allocs := measureRounds(m.top, cfg, tx, stepModeSet, false)
 				out = append(out, benchreport.Microbench{
 					Name:           fmt.Sprintf("stepset/%s/%s/n=%d", m.name, fault, n),
 					NsPerRound:     ns,
@@ -58,13 +65,13 @@ func EngineMicrobench() []benchreport.Microbench {
 		}
 		// Dense controls: the []bool adapter and the window-disabled scan.
 		ctl := Config{Fault: Faultless, Engine: Dense}
-		ns, allocs := measureRounds(complete, ctl, n, stepModeBools, false)
+		ns, allocs := measureRounds(complete, ctl, tx, stepModeBools, false)
 		out = append(out, benchreport.Microbench{
 			Name:           fmt.Sprintf("step/dense/complete/%s/n=%d", Faultless, n),
 			NsPerRound:     ns,
 			AllocsPerRound: allocs,
 		})
-		ns, allocs = measureRounds(complete, ctl, n, stepModeSet, true)
+		ns, allocs = measureRounds(complete, ctl, tx, stepModeSet, true)
 		out = append(out, benchreport.Microbench{
 			Name:           fmt.Sprintf("stepset-fullscan/dense/complete/%s/n=%d", Faultless, n),
 			NsPerRound:     ns,
@@ -79,6 +86,29 @@ func EngineMicrobench() []benchreport.Microbench {
 			ns, allocs = measureBatchRounds(complete, ctl, n, w)
 			out = append(out, benchreport.Microbench{
 				Name:           fmt.Sprintf("stepbatch/w=%d/dense/complete/%s/n=%d", w, Faultless, n),
+				NsPerRound:     ns,
+				AllocsPerRound: allocs,
+			})
+		}
+	}
+	// Sparse rows with large touched sets (see above).
+	const sparseN = 4096
+	for _, m := range []struct {
+		top  graph.Topology
+		tx   *bitset.Set
+		name string
+	}{
+		{graph.Star(sparseN - 1), microbenchTx(sparseN, 0, sparseN/16), "sparse/star"},
+		{graph.GNP(sparseN, 8.0/sparseN, rng.New(0x676e70)), microbenchTx(sparseN, 0, sparseN/8), "sparse/gnp"},
+	} {
+		for _, fault := range []FaultModel{Faultless, SenderFaults, ReceiverFaults} {
+			cfg := Config{Fault: fault, Engine: Sparse}
+			if fault != Faultless {
+				cfg.P = 0.3
+			}
+			ns, allocs := measureRounds(m.top, cfg, m.tx, stepModeSet, false)
+			out = append(out, benchreport.Microbench{
+				Name:           fmt.Sprintf("stepset/%s/%s/n=%d", m.name, fault, sparseN),
 				NsPerRound:     ns,
 				AllocsPerRound: allocs,
 			})
@@ -189,13 +219,13 @@ func measureBatchRounds(top graph.Topology, cfg Config, n, w int) (nsPerTrialRou
 	return ns / float64(w), allocs / float64(w)
 }
 
-// measureRounds times one configuration through the shared timeRounds
-// harness.
-func measureRounds(top graph.Topology, cfg Config, n int, mode int, fullScan bool) (nsPerRound, allocsPerRound float64) {
+// measureRounds times one configuration broadcasting tx every round
+// through the shared timeRounds harness.
+func measureRounds(top graph.Topology, cfg Config, tx *bitset.Set, mode int, fullScan bool) (nsPerRound, allocsPerRound float64) {
 	net := MustNew[int32](top.G, cfg, rng.New(0x6d6963726f))
 	net.setFullScan(fullScan)
+	n := top.G.N()
 	payload := make([]int32, n)
-	tx := microbenchTx(n, n/2, n/64)
 	bc := make([]bool, n)
 	tx.ForEach(func(v int) { bc[v] = true })
 	rx := bitset.New(n)

@@ -86,7 +86,6 @@ package radio
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 	"strings"
 
 	"noisyradio/internal/bitset"
@@ -786,10 +785,9 @@ type Network[P any] struct {
 	noisySites []int32
 
 	// Sparse-engine per-round scratch, reused across rounds to avoid
-	// allocation.
-	txCount []int32 // broadcasting-neighbour count per node
-	txFrom  []int32 // some broadcasting neighbour (unique when txCount==1)
-	touched []int32 // nodes with txCount > 0 this round, for cheap reset
+	// allocation: neighbour counts and the touched-listener bitmap whose
+	// word walk yields listeners in ascending id order.
+	sparse sparseScratch
 
 	// Dense-engine state: bitset adjacency rows (cached on the graph),
 	// flattened for direct word indexing in the listener loop, and their
@@ -903,9 +901,7 @@ func New[P any](g *graph.Graph, cfg Config, rnd *rng.Stream) (*Network[P], error
 	case Implicit:
 		n.counter = g.NeighborModel().NewTxCounter()
 	default:
-		n.txCount = make([]int32, g.N())
-		n.txFrom = make([]int32, g.N())
-		n.touched = make([]int32, 0, g.N())
+		n.sparse = newSparseScratch(g.N())
 	}
 	return n, nil
 }
@@ -957,10 +953,7 @@ func (n *Network[P]) Reset(rnd *rng.Stream) {
 	// a network abandoned in an unexpected state cannot leak into the next
 	// trial. senderNoise is nil except under SenderFaults (the only model
 	// that writes it), so the other models skip that clear entirely.
-	for _, u := range n.touched {
-		n.txCount[u] = 0
-	}
-	n.touched = n.touched[:0]
+	n.sparse.reset()
 	n.scratchTx.Reset()
 	for v := range n.senderNoise {
 		n.senderNoise[v] = false
@@ -1254,47 +1247,34 @@ func (n *Network[P]) resolveUnique(u, from int32, payload []P, rx *bitset.Set, d
 
 // stepSetSparse is the CSR engine: walk the neighbour lists of the
 // broadcasters (iterated straight off the tx words — cost is
-// O(Σ deg(broadcaster)), independent of n), then resolve the touched
-// listeners in ascending id order.
+// O(Σ deg(broadcaster)), independent of n), marking each touched listener
+// in the sparse scratch's bitmap, then resolve the touched listeners in
+// ascending id order by walking the bitmap's word window.
 func (n *Network[P]) stepSetSparse(tx *bitset.Set, payload []P, rx *bitset.Set, deliver func(d Delivery[P])) {
 	// Mark transmissions and draw sender faults in ascending id order.
+	s := &n.sparse
 	txw := tx.Words()
 	txLo, txHi := tx.NonzeroRange()
 	for wi := txLo; wi < txHi; wi++ {
 		for w := txw[wi]; w != 0; w &= w - 1 {
 			v := wi*64 + bits.TrailingZeros64(w)
 			n.markBroadcaster(v)
-			for _, u := range n.g.Neighbors(v) {
-				if n.txCount[u] == 0 {
-					n.touched = append(n.touched, u)
-				}
-				n.txCount[u]++
-				n.txFrom[u] = int32(v)
-			}
+			s.broadcast(int32(v), n.g.Neighbors(v))
 		}
 	}
 
 	// Resolve receptions in ascending receiver id order (the canonical
-	// draw order shared with the dense engine); touched accumulates in
-	// first-touched order, so sort first.
-	slices.Sort(n.touched)
-	for _, u := range n.touched {
-		if tx.Test(int(u)) {
-			continue // transmitting nodes do not listen
-		}
-		switch {
-		case n.txCount[u] > 1:
-			n.stats.Collisions++
-		case n.txCount[u] == 1:
-			n.resolveUnique(u, n.txFrom[u], payload, rx, deliver)
+	// draw order shared with the dense engine): the bitmap's words come
+	// out in order, and take clears each one as it goes.
+	for wi := s.lo; wi < s.hi; wi++ {
+		unique, collided := s.take(wi, txw[wi])
+		n.stats.Collisions += int64(bits.OnesCount64(collided))
+		for ; unique != 0; unique &= unique - 1 {
+			u := int32(wi*64 + bits.TrailingZeros64(unique))
+			n.resolveUnique(u, s.cells[u].from, payload, rx, deliver)
 		}
 	}
-
-	// Reset scratch.
-	for _, u := range n.touched {
-		n.txCount[u] = 0
-	}
-	n.touched = n.touched[:0]
+	s.endRound()
 }
 
 // stepSetDense is the word-parallel engine: each listener's

@@ -36,32 +36,53 @@ func geometricGrid() []float64 {
 	return out
 }
 
+// referenceGeometric is the inverse-CDF geometric sample written out
+// inline — ceil(ln(1-u) / ln(1-p)) from one Float64, clamped to 1, no
+// draw at p == 1 — as the formula stood before Stream.Geometric delegated
+// to Geometric.Draw. It is the fixed point both entry points are pinned
+// against, so the draw sequence behind every golden cannot move silently.
+func referenceGeometric(r *Stream, p float64) int {
+	if p == 1 {
+		return 1
+	}
+	u := r.Float64()
+	k := int(math.Ceil(math.Log1p(-u) / math.Log1p(-p)))
+	if k < 1 {
+		k = 1
+	}
+	return k
+}
+
 // TestGeometricMatchesStream is the draw-contract proof: for every grid
-// probability, Geometric.Draw and Stream.Geometric produce identical values
-// AND leave the stream at identical positions, draw by draw.
+// probability, Geometric.Draw and Stream.Geometric both produce the
+// reference formula's values AND leave the stream at its positions, draw
+// by draw.
 func TestGeometricMatchesStream(t *testing.T) {
 	for _, p := range geometricGrid() {
 		g := NewGeometric(p)
+		refStream := New(0x6e0)
 		methodStream := New(0x6e0)
 		samplerStream := New(0x6e0)
 		for i := 0; i < 64; i++ {
-			want := methodStream.Geometric(p)
-			got := g.Draw(samplerStream)
-			if got != want {
-				t.Fatalf("p=%v draw %d: Geometric sampler=%d, method=%d", p, i, got, want)
+			want := referenceGeometric(refStream, p)
+			if got := methodStream.Geometric(p); got != want {
+				t.Fatalf("p=%v draw %d: Stream.Geometric=%d, reference=%d", p, i, got, want)
+			}
+			if got := g.Draw(samplerStream); got != want {
+				t.Fatalf("p=%v draw %d: Geometric.Draw=%d, reference=%d", p, i, got, want)
 			}
 			// Stream positions must agree after every draw (one Uint64 for
 			// p in (0,1), none at p == 1); comparing the full generator
 			// state is stricter than comparing one output.
-			if *methodStream != *samplerStream {
-				t.Fatalf("p=%v draw %d: stream states diverged", p, i)
+			if *methodStream != *refStream || *samplerStream != *refStream {
+				t.Fatalf("p=%v draw %d: stream states diverged from the reference", p, i)
 			}
 		}
 	}
 }
 
-// TestGeometricSamplerOne: p == 1 always returns 1 without consuming randomness,
-// exactly like the method.
+// TestGeometricSamplerOne: p == 1 always returns 1 without consuming
+// randomness.
 func TestGeometricSamplerOne(t *testing.T) {
 	g := NewGeometric(1)
 	r := New(1)
@@ -88,8 +109,8 @@ func TestGeometricSamplerZeroValue(t *testing.T) {
 	}
 }
 
-// TestGeometricSamplerDomainPanics pins the constructor's domain to the method's:
-// p outside (0,1] — including NaN, which slips past p <= 0 — must panic.
+// TestGeometricSamplerDomainPanics pins the domain of both entry points: p
+// outside (0,1] — including NaN, which slips past p <= 0 — must panic.
 func TestGeometricSamplerDomainPanics(t *testing.T) {
 	for _, p := range []float64{0, -0.25, 1.25, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		func() {
@@ -99,6 +120,14 @@ func TestGeometricSamplerDomainPanics(t *testing.T) {
 				}
 			}()
 			NewGeometric(p)
+		}()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Stream.Geometric(%v) did not panic", p)
+				}
+			}()
+			New(1).Geometric(p)
 		}()
 	}
 }

@@ -222,29 +222,18 @@ func (r *Stream) Shuffle(n int, swap func(i, j int)) {
 // Geometric returns a sample from the geometric distribution with success
 // probability p: the number of Bernoulli(p) trials up to and including the
 // first success (support {1, 2, ...}). It panics if p is outside (0, 1].
+// It is NewGeometric(p).Draw(r); callers drawing repeatedly at one p should
+// build the sampler once instead.
 func (r *Stream) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
-		panic("rng: Geometric with p outside (0,1]")
-	}
-	if p == 1 {
-		return 1
-	}
-	u := r.Float64()
-	// Inverse CDF: ceil(ln(1-u) / ln(1-p)).
-	k := int(math.Ceil(math.Log1p(-u) / math.Log1p(-p)))
-	if k < 1 {
-		k = 1
-	}
-	return k
+	return NewGeometric(p).Draw(r)
 }
 
 // Geometric is a fixed-probability skip sampler with the denominator
 // hoisted out of the draw: it stores log1p(-p) once, so each Draw costs one
-// Uint64 plus one log1p and one divide instead of recomputing log1p(-p).
-// Draw is bit-identical to Stream.Geometric(p) — same values, same stream
-// positions — because the stored denominator is the exact float the method
-// would compute and the division is performed identically (a precomputed
-// reciprocal would round differently). The package tests verify this over
+// Uint64 plus one log1p and one divide. It is the single definition of the
+// inverse-CDF sample ceil(ln(1-u) / ln(1-p)); Stream.Geometric delegates
+// to it. The division is kept (a precomputed reciprocal would round
+// differently); the package tests pin Draw against the inline formula over
 // a dense probability grid.
 //
 // The zero value is a never-succeeding sampler: Draw returns math.MaxInt
@@ -254,12 +243,12 @@ type Geometric struct {
 	one  bool    // p == 1: every trial succeeds, no randomness needed
 }
 
-// NewGeometric returns a sampler whose Draw is exactly Stream.Geometric(p).
-// Like the method, it rejects p outside (0, 1] — including NaN — by
-// panicking, so a sampler in hand is always a usable one.
+// NewGeometric returns a sampler for success probability p. It rejects p
+// outside (0, 1] — including NaN — by panicking, so a sampler in hand is
+// always a usable one.
 func NewGeometric(p float64) Geometric {
 	if !(p > 0) || p > 1 {
-		panic("rng: NewGeometric with p outside (0,1]")
+		panic("rng: Geometric with p outside (0,1]")
 	}
 	if p == 1 {
 		return Geometric{one: true}
@@ -269,9 +258,9 @@ func NewGeometric(p float64) Geometric {
 	return Geometric{logq: math.Log1p(-p)}
 }
 
-// Draw returns a geometric sample (support {1, 2, ...}), consuming exactly
-// the randomness Stream.Geometric would: one Uint64 for p in (0,1), none
-// at p == 1. The zero value returns math.MaxInt without drawing.
+// Draw returns a geometric sample (support {1, 2, ...}), consuming one
+// Uint64 for p in (0,1) and none at p == 1. The zero value returns
+// math.MaxInt without drawing.
 func (g Geometric) Draw(r *Stream) int {
 	if g.one {
 		return 1

@@ -246,8 +246,12 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	s.metrics.misses.Add(1)
 
-	body, runErr := s.execute(r.Context(), jb, w)
+	body, last, runErr := s.execute(r.Context(), jb, w)
 
+	// Publish the finished body and retire the flight before the final
+	// line reaches the client: once a client has read a complete stream,
+	// resubmitting the job must hit the cache, never coalesce onto the
+	// flight that produced it.
 	s.mu.Lock()
 	f.body, f.ok = body, runErr == nil
 	if runErr == nil {
@@ -261,6 +265,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.metrics.errored.Add(1)
 	}
+	w.Write(last)
 }
 
 // writeBody replays a finished stream verbatim. The cache disposition
@@ -275,10 +280,12 @@ func (s *Server) writeBody(w http.ResponseWriter, key, disposition string, body 
 
 // execute runs one job as the flight leader, streaming the NDJSON body
 // to w line by line while accumulating the byte-identical copy that the
-// cache (and any coalesced followers) will replay. Client disconnection
-// cancels ctx, which cancels the sweep; the job then finishes with an
-// error line and is not cached.
-func (s *Server) execute(ctx context.Context, jb *job, w http.ResponseWriter) ([]byte, error) {
+// cache (and any coalesced followers) will replay. The final line (result
+// or error) is left for the caller to write after publishing: execute
+// returns the full body and that last line, which body ends with. Client
+// disconnection cancels ctx, which cancels the sweep; the job then
+// finishes with an error line and is not cached.
+func (s *Server) execute(ctx context.Context, jb *job, w http.ResponseWriter) (body, last []byte, err error) {
 	jobCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -288,15 +295,18 @@ func (s *Server) execute(ctx context.Context, jb *job, w http.ResponseWriter) ([
 	h.Set("X-Cache", "miss")
 	flusher, _ := w.(http.Flusher)
 
-	var body bytes.Buffer
-	emit := func(line Line) {
+	var buf bytes.Buffer
+	record := func(line Line) []byte {
 		b, err := json.Marshal(line)
 		if err != nil {
 			panic(fmt.Sprintf("serve: marshaling stream line: %v", err))
 		}
 		b = append(b, '\n')
-		body.Write(b)
-		w.Write(b)
+		buf.Write(b)
+		return b
+	}
+	emit := func(line Line) {
+		w.Write(record(line))
 		if flusher != nil {
 			flusher.Flush()
 		}
@@ -338,10 +348,10 @@ func (s *Server) execute(ctx context.Context, jb *job, w http.ResponseWriter) ([
 	}
 	<-errc
 	if rowErr != nil {
-		emit(Line{Type: "error", Key: jb.key, Error: rowErr.Error()})
-		return body.Bytes(), rowErr
+		last = record(Line{Type: "error", Key: jb.key, Error: rowErr.Error()})
+		return buf.Bytes(), last, rowErr
 	}
-	emit(Line{
+	last = record(Line{
 		Type:     "result",
 		Key:      jb.key,
 		Schedule: jb.spec.Schedule,
@@ -349,7 +359,7 @@ func (s *Server) execute(ctx context.Context, jb *job, w http.ResponseWriter) ([
 		Shards:   jb.shards,
 		Stats:    newStats(merged),
 	})
-	return body.Bytes(), nil
+	return buf.Bytes(), last, nil
 }
 
 // scheduleValue is the one statistic the service folds: rounds to

@@ -181,6 +181,28 @@ func TestCacheHitIsByteExact(t *testing.T) {
 	}
 }
 
+// TestResubmitAfterResultHits: a client that stops reading at the result
+// line, as Submit does, and resubmits at once must get a cache hit — the
+// leader publishes the body and retires its flight before it writes that
+// line, so the resubmission can neither miss nor coalesce.
+func TestResubmitAfterResultHits(t *testing.T) {
+	ts := httptest.NewServer(NewServer(Config{}))
+	defer ts.Close()
+	for seed := uint64(1); seed <= 20; seed++ {
+		spec := testSpec()
+		spec.Seed = seed
+		for i, want := range []string{"miss", "hit"} {
+			res, err := Submit(context.Background(), ts.URL, spec, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Cache != want {
+				t.Fatalf("seed %d submission %d: X-Cache = %q, want %q", seed, i+1, res.Cache, want)
+			}
+		}
+	}
+}
+
 // TestBodyDeterministicAcrossServers: a fresh process (fresh server)
 // computes the byte-identical body — the cache's correctness claim.
 func TestBodyDeterministicAcrossServers(t *testing.T) {
