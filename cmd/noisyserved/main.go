@@ -52,7 +52,7 @@ func run(args []string, out *os.File) error {
 	var (
 		addr       = fs.String("addr", ":8091", "listen address (host:port; port 0 picks a free port)")
 		cacheSize  = fs.Int("cache", 1024, "result cache capacity in finished job bodies (LRU)")
-		shards     = fs.Int("shards", 0, "fixed shard count per job (0 = derive from trials: min(8, ceil(trials/32)))")
+		shards     = fs.Int("shards", 0, "fixed shard count per job, at most its trial count (0 = derive from trials: min(8, ceil(trials/32)))")
 		workers    = fs.Int("workers", 0, "sweep worker pool size per job (0 = GOMAXPROCS)")
 		trialBatch = fs.String("trialbatch", "auto", "lockstep trial-batch plan: auto | 0 (scalar) | W; output identical at every setting")
 		drain      = fs.Duration("drain", 30*time.Second, "max time to wait for in-flight jobs on SIGTERM/SIGINT")

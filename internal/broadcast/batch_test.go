@@ -112,89 +112,6 @@ func TestSingleMessageBatchCappedLanes(t *testing.T) {
 		func(rnds []*rng.Stream) ([]Result, error) { return DecayBatch(top, cfg, rnds, opts) })
 }
 
-func TestStarBatchEqualsScalar(t *testing.T) {
-	for _, cfg := range batchConfigs() {
-		label := fmt.Sprintf("%s/%s", cfg.Fault, cfg.Engine)
-		requireBatchEqualsScalar(t, "star-routing/"+label, 7, 4,
-			func(r *rng.Stream) (MultiResult, error) { return StarRouting(24, 6, cfg, r, Options{}) },
-			func(rnds []*rng.Stream) ([]MultiResult, error) {
-				return StarRoutingBatch(24, 6, cfg, rnds, Options{})
-			})
-		requireBatchEqualsScalar(t, "star-coding/"+label, 7, 4,
-			func(r *rng.Stream) (MultiResult, error) { return StarCoding(24, 6, cfg, r, Options{}) },
-			func(rnds []*rng.Stream) ([]MultiResult, error) {
-				return StarCodingBatch(24, 6, cfg, rnds, Options{})
-			})
-	}
-}
-
-func TestWCTBatchEqualsScalar(t *testing.T) {
-	w := graph.NewWCT(graph.DefaultWCTParams(100), rng.New(9))
-	for _, cfg := range batchConfigs() {
-		label := fmt.Sprintf("%s/%s", cfg.Fault, cfg.Engine)
-		requireBatchEqualsScalar(t, "wct-routing/"+label, 5, 2,
-			func(r *rng.Stream) (MultiResult, error) { return WCTRouting(w, 3, cfg, r, Options{}) },
-			func(rnds []*rng.Stream) ([]MultiResult, error) {
-				return WCTRoutingBatch(w, 3, cfg, rnds, Options{})
-			})
-		requireBatchEqualsScalar(t, "wct-coding/"+label, 5, 2,
-			func(r *rng.Stream) (MultiResult, error) { return WCTCoding(w, 3, cfg, r, Options{}) },
-			func(rnds []*rng.Stream) ([]MultiResult, error) {
-				return WCTCodingBatch(w, 3, cfg, rnds, Options{})
-			})
-	}
-}
-
-func TestSingleLinkBatchEqualsScalar(t *testing.T) {
-	cfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.4}
-	const k = 12
-	repeats := DefaultSingleLinkRepeats(k, cfg.P)
-	requireBatchEqualsScalar(t, "single-link-nonadaptive", 9, 4,
-		func(r *rng.Stream) (MultiResult, error) { return SingleLinkNonAdaptive(k, repeats, cfg, r) },
-		func(rnds []*rng.Stream) ([]MultiResult, error) {
-			return SingleLinkNonAdaptiveBatch(k, repeats, cfg, rnds)
-		})
-	requireBatchEqualsScalar(t, "single-link-adaptive", 9, 4,
-		func(r *rng.Stream) (MultiResult, error) { return SingleLinkAdaptive(k, cfg, r, Options{}) },
-		func(rnds []*rng.Stream) ([]MultiResult, error) {
-			return SingleLinkAdaptiveBatch(k, cfg, rnds, Options{})
-		})
-	requireBatchEqualsScalar(t, "single-link-coding", 9, 4,
-		func(r *rng.Stream) (MultiResult, error) { return SingleLinkCoding(k, cfg, r, Options{}) },
-		func(rnds []*rng.Stream) ([]MultiResult, error) {
-			return SingleLinkCodingBatch(k, cfg, rnds, Options{})
-		})
-}
-
-func TestPipelineBatchEqualsScalar(t *testing.T) {
-	for _, cfg := range []radio.Config{
-		{Fault: radio.Faultless},
-		{Fault: radio.ReceiverFaults, P: 0.3},
-		{Fault: radio.SenderFaults, P: 0.3, Engine: radio.Dense},
-	} {
-		label := fmt.Sprintf("%s/%s", cfg.Fault, cfg.Engine)
-		requireBatchEqualsScalar(t, "path-pipeline/"+label, 5, 3,
-			func(r *rng.Stream) (MultiResult, error) { return PathPipelineRouting(20, 8, cfg, r, Options{}) },
-			func(rnds []*rng.Stream) ([]MultiResult, error) {
-				return PathPipelineRoutingBatch(20, 8, cfg, rnds, Options{})
-			})
-		requireBatchEqualsScalar(t, "transformed-routing/"+label, 4, 2,
-			func(r *rng.Stream) (MultiResult, error) {
-				return TransformedPathRouting(6, 10, cfg, r, TransformParams{}, Options{})
-			},
-			func(rnds []*rng.Stream) ([]MultiResult, error) {
-				return TransformedPathRoutingBatch(6, 10, cfg, rnds, TransformParams{}, Options{})
-			})
-		requireBatchEqualsScalar(t, "transformed-coding/"+label, 4, 2,
-			func(r *rng.Stream) (MultiResult, error) {
-				return TransformedPathCoding(6, 10, cfg, r, TransformParams{}, Options{})
-			},
-			func(rnds []*rng.Stream) ([]MultiResult, error) {
-				return TransformedPathCodingBatch(6, 10, cfg, rnds, TransformParams{}, Options{})
-			})
-	}
-}
-
 func TestPipelinedBatchRoutingBatchEqualsScalar(t *testing.T) {
 	tops := []graph.Topology{
 		graph.Path(24),

@@ -12,559 +12,20 @@ import (
 	"noisyradio/internal/rng"
 )
 
-// This file holds the trial-batched twins of the multi-message schedules:
-// each entry runs one independent trial per stream in rnds, in lockstep
-// over a pooled radio.BatchNetwork (see runMultiBatch), with trial i
-// draw-for-draw identical to the scalar function applied to rnds[i]. The
+// This file holds the trial-batched twins of the multi-message schedules
+// that run on the caller's topology: pipelined-batch-routing,
+// sequential-decay-routing and rlnc. Each runs one independent trial per
+// stream in rnds, in lockstep over a pooled radio.BatchNetwork, with trial
+// i draw-for-draw identical to the scalar function applied to rnds[i]. The
 // scalar fallback covers width 1 (nothing to amortise) and widths beyond
 // radio.MaxBatchWidth.
-
-// StarRoutingBatch is the trial-batched StarRouting.
-func StarRoutingBatch(leaves, k int, cfg radio.Config, rnds []*rng.Stream, opts Options) ([]MultiResult, error) {
-	if leaves < 1 || k < 1 {
-		return nil, fmt.Errorf("broadcast: star routing needs leaves >= 1 and k >= 1, got (%d,%d)", leaves, k)
-	}
-	w := len(rnds)
-	if !validBatchWidth(w) {
-		return scalarFallback(rnds, func(r *rng.Stream) (MultiResult, error) {
-			return StarRouting(leaves, k, cfg, r, opts)
-		})
-	}
-	top := cachedStar(leaves)
-	n := top.G.N()
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = starDefaultMaxRounds(leaves, k, cfg)
-	}
-
-	// Only the hub ever broadcasts, in every lane: one constant block.
-	tx := bitset.NewBlock(n, w)
-	payloads := make([][]int32, w)
-	gen := make([][]int32, w)
-	current := make([]int32, w)
-	missing := make([]int, w)
-	lanes := make([]multiLane[int32], w)
-	for l := range lanes {
-		l := l
-		tx.Set(l, 0)
-		payloads[l] = make([]int32, n)
-		gen[l] = make([]int32, n)
-		missing[l] = leaves
-		lanes[l] = multiLane[int32]{
-			begin: func(round int) { payloads[l][0] = current[l] },
-			deliver: func(d radio.Delivery[int32]) {
-				if gen[l][d.To] != current[l]+1 {
-					gen[l][d.To] = current[l] + 1
-					missing[l]--
-				}
-			},
-			after: func(round int) bool {
-				if missing[l] == 0 {
-					current[l]++
-					missing[l] = leaves
-				}
-				return current[l] == int32(k)
-			},
-		}
-	}
-	return runMultiBatch(&idPool, top.G, cfg, rnds, maxRounds, tx, payloads, lanes,
-		func(l, rounds int, ch radio.Stats) MultiResult {
-			return MultiResult{
-				Rounds:  rounds,
-				Success: current[l] == int32(k),
-				Done:    doneCountStar(current[l], k, leaves, missing[l]),
-				Channel: ch,
-			}
-		})
-}
-
-// StarCodingBatch is the trial-batched StarCoding.
-func StarCodingBatch(leaves, k int, cfg radio.Config, rnds []*rng.Stream, opts Options) ([]MultiResult, error) {
-	if leaves < 1 || k < 1 {
-		return nil, fmt.Errorf("broadcast: star coding needs leaves >= 1 and k >= 1, got (%d,%d)", leaves, k)
-	}
-	w := len(rnds)
-	if !validBatchWidth(w) {
-		return scalarFallback(rnds, func(r *rng.Stream) (MultiResult, error) {
-			return StarCoding(leaves, k, cfg, r, opts)
-		})
-	}
-	top := cachedStar(leaves)
-	n := top.G.N()
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = starDefaultMaxRounds(leaves, k, cfg)
-	}
-
-	tx := bitset.NewBlock(n, w)
-	payloads := make([][]int32, w)
-	received := make([][]int32, w)
-	done := make([]int, w)
-	lanes := make([]multiLane[int32], w)
-	for l := range lanes {
-		l := l
-		tx.Set(l, 0)
-		payloads[l] = make([]int32, n)
-		received[l] = make([]int32, n)
-		lanes[l] = multiLane[int32]{
-			begin: func(round int) { payloads[l][0] = int32(round) },
-			deliver: func(d radio.Delivery[int32]) {
-				received[l][d.To]++
-				if received[l][d.To] == int32(k) {
-					done[l]++
-				}
-			},
-			after: func(round int) bool { return done[l] == leaves },
-		}
-	}
-	return runMultiBatch(&idPool, top.G, cfg, rnds, maxRounds, tx, payloads, lanes,
-		func(l, rounds int, ch radio.Stats) MultiResult {
-			return MultiResult{
-				Rounds:  rounds,
-				Success: done[l] == leaves,
-				Done:    done[l] + 1,
-				Channel: ch,
-			}
-		})
-}
-
-// WCTRoutingBatch is the trial-batched WCTRouting.
-func WCTRoutingBatch(w0 *graph.WCT, k int, cfg radio.Config, rnds []*rng.Stream, opts Options) ([]MultiResult, error) {
-	if err := validateWCTArgs(w0, k); err != nil {
-		return nil, err
-	}
-	w := len(rnds)
-	if !validBatchWidth(w) {
-		return scalarFallback(rnds, func(r *rng.Stream) (MultiResult, error) {
-			return WCTRouting(w0, k, cfg, r, opts)
-		})
-	}
-	scales := graph.Log2Floor(len(w0.Senders))
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = wctDefaultMaxRounds(w0, k, cfg, scales*scales)
-	}
-	n := w0.G.N()
-	coins := scaleCoins(scales)
-	members := 0
-	for _, c := range w0.Clusters {
-		members += len(c)
-	}
-	firstMember := 1 + len(w0.Senders)
-
-	tx := bitset.NewBlock(n, w)
-	payloads := make([][]int32, w)
-	gen := make([][]int32, w)
-	current := make([]int32, w)
-	missing := make([]int, w)
-	lanes := make([]multiLane[int32], w)
-	for l := range lanes {
-		l := l
-		rnd := rnds[l]
-		payloads[l] = make([]int32, n)
-		gen[l] = make([]int32, n)
-		missing[l] = members
-		lanes[l] = multiLane[int32]{
-			begin: func(round int) {
-				coin := coins[1+round%scales]
-				for _, s := range w0.Senders {
-					if coin.Draw(rnd) {
-						tx.Set(l, int(s))
-					}
-					payloads[l][s] = current[l]
-				}
-			},
-			deliver: func(d radio.Delivery[int32]) {
-				if d.To >= firstMember && gen[l][d.To] != current[l]+1 {
-					gen[l][d.To] = current[l] + 1
-					missing[l]--
-				}
-			},
-			after: func(round int) bool {
-				for _, s := range w0.Senders {
-					tx.Clear(l, int(s))
-				}
-				if missing[l] == 0 {
-					current[l]++
-					missing[l] = members
-				}
-				return current[l] == int32(k)
-			},
-		}
-	}
-	return runMultiBatch(&idPool, w0.G, cfg, rnds, maxRounds, tx, payloads, lanes,
-		func(l, rounds int, ch radio.Stats) MultiResult {
-			return MultiResult{
-				Rounds:  rounds,
-				Success: current[l] == int32(k),
-				Done:    wctDoneCount(w0, current[l], k, missing[l]),
-				Channel: ch,
-			}
-		})
-}
-
-// WCTCodingBatch is the trial-batched WCTCoding.
-func WCTCodingBatch(w0 *graph.WCT, k int, cfg radio.Config, rnds []*rng.Stream, opts Options) ([]MultiResult, error) {
-	if err := validateWCTArgs(w0, k); err != nil {
-		return nil, err
-	}
-	w := len(rnds)
-	if !validBatchWidth(w) {
-		return scalarFallback(rnds, func(r *rng.Stream) (MultiResult, error) {
-			return WCTCoding(w0, k, cfg, r, opts)
-		})
-	}
-	scales := graph.Log2Floor(len(w0.Senders))
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = wctDefaultMaxRounds(w0, k, cfg, scales)
-	}
-	n := w0.G.N()
-	coins := scaleCoins(scales)
-	members := 0
-	for _, c := range w0.Clusters {
-		members += len(c)
-	}
-	firstMember := 1 + len(w0.Senders)
-
-	tx := bitset.NewBlock(n, w)
-	payloads := make([][]int32, w)
-	received := make([][]int32, w)
-	done := make([]int, w)
-	lanes := make([]multiLane[int32], w)
-	for l := range lanes {
-		l := l
-		rnd := rnds[l]
-		payloads[l] = make([]int32, n)
-		received[l] = make([]int32, n)
-		lanes[l] = multiLane[int32]{
-			begin: func(round int) {
-				coin := coins[1+round%scales]
-				for _, s := range w0.Senders {
-					if coin.Draw(rnd) {
-						tx.Set(l, int(s))
-					}
-				}
-				// Fresh packet indices: distinct per (sender, round) pair.
-				for i, s := range w0.Senders {
-					payloads[l][s] = int32(round*len(w0.Senders) + i)
-				}
-			},
-			deliver: func(d radio.Delivery[int32]) {
-				if d.To < firstMember {
-					return
-				}
-				received[l][d.To]++
-				if received[l][d.To] == int32(k) {
-					done[l]++
-				}
-			},
-			after: func(round int) bool {
-				for _, s := range w0.Senders {
-					tx.Clear(l, int(s))
-				}
-				return done[l] == members
-			},
-		}
-	}
-	return runMultiBatch(&idPool, w0.G, cfg, rnds, maxRounds, tx, payloads, lanes,
-		func(l, rounds int, ch radio.Stats) MultiResult {
-			return MultiResult{
-				Rounds:  rounds,
-				Success: done[l] == members,
-				Done:    done[l] + 1 + len(w0.Senders),
-				Channel: ch,
-			}
-		})
-}
-
-// SingleLinkNonAdaptiveBatch is the trial-batched SingleLinkNonAdaptive.
-func SingleLinkNonAdaptiveBatch(k, repeats int, cfg radio.Config, rnds []*rng.Stream) ([]MultiResult, error) {
-	if k < 1 || repeats < 1 {
-		return nil, fmt.Errorf("broadcast: single-link non-adaptive needs k >= 1 and repeats >= 1, got (%d,%d)", k, repeats)
-	}
-	w := len(rnds)
-	if !validBatchWidth(w) {
-		return scalarFallback(rnds, func(r *rng.Stream) (MultiResult, error) {
-			return SingleLinkNonAdaptive(k, repeats, cfg, r)
-		})
-	}
-	top := cachedSingleLink()
-	total := k * repeats
-
-	tx := bitset.NewBlock(2, w)
-	payloads := make([][]int32, w)
-	got := make([][]bool, w)
-	received := make([]int, w)
-	lanes := make([]multiLane[int32], w)
-	for l := range lanes {
-		l := l
-		tx.Set(l, 0)
-		payloads[l] = make([]int32, 2)
-		got[l] = make([]bool, k)
-		lanes[l] = multiLane[int32]{
-			begin: func(round int) { payloads[l][0] = int32(round / repeats) },
-			deliver: func(d radio.Delivery[int32]) {
-				if !got[l][d.Payload] {
-					got[l][d.Payload] = true
-					received[l]++
-				}
-			},
-			after: func(round int) bool { return round == total-1 },
-		}
-	}
-	return runMultiBatch(&idPool, top.G, cfg, rnds, total, tx, payloads, lanes,
-		func(l, rounds int, ch radio.Stats) MultiResult {
-			done := 1
-			if received[l] == k {
-				done = 2
-			}
-			return MultiResult{Rounds: total, Success: received[l] == k, Done: done, Channel: ch}
-		})
-}
-
-// SingleLinkAdaptiveBatch is the trial-batched SingleLinkAdaptive.
-func SingleLinkAdaptiveBatch(k int, cfg radio.Config, rnds []*rng.Stream, opts Options) ([]MultiResult, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("broadcast: single-link adaptive needs k >= 1, got %d", k)
-	}
-	w := len(rnds)
-	if !validBatchWidth(w) {
-		return scalarFallback(rnds, func(r *rng.Stream) (MultiResult, error) {
-			return SingleLinkAdaptive(k, cfg, r, opts)
-		})
-	}
-	top := cachedSingleLink()
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = singleLinkDefaultMaxRounds(k, cfg)
-	}
-
-	tx := bitset.NewBlock(2, w)
-	payloads := make([][]int32, w)
-	current := make([]int, w)
-	lanes := make([]multiLane[int32], w)
-	for l := range lanes {
-		l := l
-		tx.Set(l, 0)
-		payloads[l] = make([]int32, 2)
-		lanes[l] = multiLane[int32]{
-			begin:   func(round int) { payloads[l][0] = int32(current[l]) },
-			deliver: func(d radio.Delivery[int32]) { current[l]++ },
-			after:   func(round int) bool { return current[l] == k },
-		}
-	}
-	return runMultiBatch(&idPool, top.G, cfg, rnds, maxRounds, tx, payloads, lanes,
-		func(l, rounds int, ch radio.Stats) MultiResult {
-			done := 1
-			if current[l] == k {
-				done = 2
-			}
-			return MultiResult{Rounds: rounds, Success: current[l] == k, Done: done, Channel: ch}
-		})
-}
-
-// SingleLinkCodingBatch is the trial-batched SingleLinkCoding.
-func SingleLinkCodingBatch(k int, cfg radio.Config, rnds []*rng.Stream, opts Options) ([]MultiResult, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("broadcast: single-link coding needs k >= 1, got %d", k)
-	}
-	w := len(rnds)
-	if !validBatchWidth(w) {
-		return scalarFallback(rnds, func(r *rng.Stream) (MultiResult, error) {
-			return SingleLinkCoding(k, cfg, r, opts)
-		})
-	}
-	top := cachedSingleLink()
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = singleLinkDefaultMaxRounds(k, cfg)
-	}
-
-	tx := bitset.NewBlock(2, w)
-	payloads := make([][]int32, w)
-	received := make([]int, w)
-	lanes := make([]multiLane[int32], w)
-	for l := range lanes {
-		l := l
-		tx.Set(l, 0)
-		payloads[l] = make([]int32, 2)
-		lanes[l] = multiLane[int32]{
-			begin:   func(round int) { payloads[l][0] = int32(round) },
-			deliver: func(d radio.Delivery[int32]) { received[l]++ },
-			after:   func(round int) bool { return received[l] >= k },
-		}
-	}
-	return runMultiBatch(&idPool, top.G, cfg, rnds, maxRounds, tx, payloads, lanes,
-		func(l, rounds int, ch radio.Stats) MultiResult {
-			done := 1
-			if received[l] >= k {
-				done = 2
-			}
-			return MultiResult{Rounds: rounds, Success: received[l] >= k, Done: done, Channel: ch}
-		})
-}
-
-// PathPipelineRoutingBatch is the trial-batched PathPipelineRouting.
-func PathPipelineRoutingBatch(pathLen, k int, cfg radio.Config, rnds []*rng.Stream, opts Options) ([]MultiResult, error) {
-	if pathLen < 1 || k < 1 {
-		return nil, fmt.Errorf("broadcast: path pipeline needs pathLen >= 1 and k >= 1, got (%d,%d)", pathLen, k)
-	}
-	w := len(rnds)
-	if !validBatchWidth(w) {
-		return scalarFallback(rnds, func(r *rng.Stream) (MultiResult, error) {
-			return PathPipelineRouting(pathLen, k, cfg, r, opts)
-		})
-	}
-	top := cachedPath(pathLen + 1)
-	n := top.G.N()
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = pipelineDefaultMaxRounds(pathLen, k, cfg)
-	}
-
-	tx := bitset.NewBlock(n, w)
-	payloads := make([][]int32, w)
-	have := make([][]int32, w)
-	lanes := make([]multiLane[int32], w)
-	for l := range lanes {
-		l := l
-		payloads[l] = make([]int32, n)
-		have[l] = make([]int32, n)
-		have[l][0] = int32(k)
-		lanes[l] = multiLane[int32]{
-			begin: func(round int) {
-				mod := int32(round % 3)
-				for v := 0; v < n-1; v++ {
-					if int32(v)%3 == mod && have[l][v] > have[l][v+1] {
-						tx.Set(l, v)
-						payloads[l][v] = have[l][v+1]
-					}
-				}
-			},
-			deliver: func(d radio.Delivery[int32]) {
-				if d.Payload == have[l][d.To] && d.From == d.To-1 {
-					have[l][d.To]++
-				}
-			},
-			after: func(round int) bool {
-				lo, hi := tx.LaneNonzeroRange(l)
-				tx.ResetLaneWindow(l, lo, hi)
-				return have[l][n-1] == int32(k)
-			},
-		}
-	}
-	return runMultiBatch(&idPool, top.G, cfg, rnds, maxRounds, tx, payloads, lanes,
-		func(l, rounds int, ch radio.Stats) MultiResult {
-			done := 0
-			for v := 0; v < n; v++ {
-				if have[l][v] == int32(k) {
-					done++
-				}
-			}
-			return MultiResult{Rounds: rounds, Success: have[l][n-1] == int32(k), Done: done, Channel: ch}
-		})
-}
-
-// transformedPathBatch is the trial-batched transformedPath, shared by
-// TransformedPathRoutingBatch and TransformedPathCodingBatch. The
-// meta-round structure is identical across lanes (it depends only on
-// pathLen, k and cfg), so the lockstep round index decomposes into the
-// scalar loop's (meta-round, step) pair.
-func transformedPathBatch(pathLen, k int, cfg radio.Config, rnds []*rng.Stream, params TransformParams, opts Options, coding bool) ([]MultiResult, error) {
-	if pathLen < 1 || k < 1 {
-		return nil, fmt.Errorf("broadcast: transformed path needs pathLen >= 1 and k >= 1, got (%d,%d)", pathLen, k)
-	}
-	w := len(rnds)
-	if !validBatchWidth(w) {
-		return scalarFallback(rnds, func(r *rng.Stream) (MultiResult, error) {
-			return transformedPath(pathLen, k, cfg, r, params, opts, coding)
-		})
-	}
-	pr := params.withDefaults(pathLen, k)
-	batches := (k + pr.Batch - 1) / pr.Batch
-	mlen := metaRoundLen(pr.Batch, cfg, pr.Eta)
-	metaRounds := 3 * (batches + pathLen)
-	total := metaRounds * mlen
-
-	top := cachedPath(pathLen + 1)
-	n := top.G.N()
-	tx := bitset.NewBlock(n, w)
-	payloads := make([][]int32, w)
-	batchHave := make([][]int32, w)
-	progress := make([][]int32, w)
-	lanes := make([]multiLane[int32], w)
-	for l := range lanes {
-		l := l
-		payloads[l] = make([]int32, n)
-		batchHave[l] = make([]int32, n)
-		batchHave[l][0] = int32(batches)
-		progress[l] = make([]int32, n)
-		lanes[l] = multiLane[int32]{
-			begin: func(round int) {
-				T, step := round/mlen, round%mlen
-				if step == 0 {
-					for i := range progress[l] {
-						progress[l][i] = 0
-					}
-				}
-				lo, hi := tx.LaneNonzeroRange(l)
-				tx.ResetLaneWindow(l, lo, hi)
-				mod := int32(T % 3)
-				for v := 0; v < n-1; v++ {
-					if int32(v)%3 != mod || batchHave[l][v] <= batchHave[l][v+1] {
-						continue
-					}
-					if coding {
-						tx.Set(l, v)
-						payloads[l][v] = int32(T*mlen + step) // fresh coded packet
-					} else if progress[l][v] < int32(pr.Batch) {
-						tx.Set(l, v)
-						payloads[l][v] = progress[l][v] // message index within batch
-					}
-				}
-			},
-			deliver: func(d radio.Delivery[int32]) {
-				if d.From != d.To-1 {
-					return
-				}
-				v := d.From
-				if coding {
-					progress[l][v]++
-					if progress[l][v] == int32(pr.Batch) {
-						batchHave[l][d.To]++
-					}
-				} else if d.Payload == progress[l][v] {
-					progress[l][v]++
-					if progress[l][v] == int32(pr.Batch) {
-						batchHave[l][d.To]++
-					}
-				}
-			},
-			after: func(round int) bool { return round == total-1 },
-		}
-	}
-	return runMultiBatch(&idPool, top.G, cfg, rnds, total, tx, payloads, lanes,
-		func(l, rounds int, ch radio.Stats) MultiResult {
-			done := 0
-			for v := 0; v < n; v++ {
-				if batchHave[l][v] == int32(batches) {
-					done++
-				}
-			}
-			return MultiResult{Rounds: total, Success: batchHave[l][n-1] == int32(batches), Done: done, Channel: ch}
-		})
-}
-
-// TransformedPathRoutingBatch is the trial-batched TransformedPathRouting.
-func TransformedPathRoutingBatch(pathLen, k int, cfg radio.Config, rnds []*rng.Stream, params TransformParams, opts Options) ([]MultiResult, error) {
-	return transformedPathBatch(pathLen, k, cfg, rnds, params, opts, false)
-}
-
-// TransformedPathCodingBatch is the trial-batched TransformedPathCoding.
-func TransformedPathCodingBatch(pathLen, k int, cfg radio.Config, rnds []*rng.Stream, params TransformParams, opts Options) ([]MultiResult, error) {
-	return transformedPathBatch(pathLen, k, cfg, rnds, params, opts, true)
-}
+//
+// Only these schedules have twins because only their topology can resolve
+// to the dense engine under radio.Auto, the one engine that batches
+// (radio.PlanBatchWidth). The star, WCT, single-link and path schedules
+// build graphs that are sparse by construction (degree <= 2, n = 2, or
+// WCT's Θ(√n) sender neighbourhoods), so they run scalar and the registry
+// gives them no twin.
 
 // PipelinedBatchRoutingBatch is the trial-batched PipelinedBatchRouting.
 // The BFS layer decomposition and the per-phase coins are built once and

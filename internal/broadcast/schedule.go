@@ -1,7 +1,6 @@
 // The first-class Schedule API: every broadcast schedule of the paper is
 // one registry entry carrying its name, paper reference, result kind and
-// both execution strategies (the scalar runner and its lockstep
-// trial-batched twin). Callers — the experiment runners, the throughput
+// its scalar runner. Callers — the experiment runners, the throughput
 // harness, cmd/noisysim and the public facade — select a schedule by name
 // and Run it; whether a set of trials executes scalar or as a W-wide
 // lockstep batch is an execution-plan detail (see sim.Sweep.AddSchedule),
@@ -10,6 +9,15 @@
 // marker-interface (single-message) and multiLane (multi-message)
 // machinery that guarantees scalar and batch execution are identical by
 // construction.
+//
+// Only the schedules that run on the caller's topology carry a lockstep
+// trial-batched twin: decay, decay-unknown-n, fastbc, robust-fastbc, rlnc,
+// sequential-decay-routing and pipelined-batch-routing. Their topology can
+// resolve to the dense engine under radio.Auto, the only engine
+// radio.PlanBatchWidth batches. The star, WCT, single-link and path
+// schedules build their own graphs, which are sparse by construction, so
+// the planner always runs them scalar and they have no twin (Batched
+// reports false); RunBatch runs Run once per stream for them.
 package broadcast
 
 import (
@@ -146,9 +154,9 @@ func multiOutcomes(rs []MultiResult, err error) ([]Outcome, error) {
 	return out, nil
 }
 
-// Schedule is one registered broadcast schedule: metadata plus both
-// execution strategies. Values are obtained from Schedules or
-// LookupSchedule and are immutable.
+// Schedule is one registered broadcast schedule: metadata plus its
+// scalar runner and, for topology-taking schedules, a lockstep batch twin.
+// Values are obtained from Schedules or LookupSchedule and are immutable.
 type Schedule struct {
 	// Name is the registry key, e.g. "decay" or "star-coding".
 	Name string
@@ -157,9 +165,10 @@ type Schedule struct {
 	// Kind is the result shape (single- or multi-message).
 	Kind ScheduleKind
 
-	// scalarName/batchName are the exported function names the entry wraps;
-	// the registry completeness test checks every schedule-shaped exported
-	// function of the package appears in exactly one entry.
+	// scalarName/batchName are the exported function names the entry wraps
+	// (batchName is empty for an entry without a twin); the registry
+	// completeness test checks every schedule-shaped exported function of
+	// the package appears in exactly one entry.
 	scalarName, batchName string
 
 	// planTop returns the topology the schedule actually runs on (the
@@ -169,7 +178,7 @@ type Schedule struct {
 	planTop func(top graph.Topology, p ScheduleParams) graph.Topology
 
 	run      func(top graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Outcome, error)
-	runBatch func(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error)
+	runBatch func(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) // nil: no twin
 }
 
 // Run executes one trial of the schedule under the given randomness —
@@ -180,12 +189,28 @@ func (s *Schedule) Run(top graph.Topology, cfg radio.Config, r *rng.Stream, p Sc
 }
 
 // RunBatch executes one independent trial per stream in rnds, in lockstep
-// on a trial-batched radio network where profitable; outcome i is
-// identical to Run over rnds[i] (the batch twins' contract, enforced by
+// on a trial-batched radio network where the schedule has a twin and the
+// width is profitable, otherwise by running Run once per stream; outcome i
+// is identical to Run over rnds[i] (the batch twins' contract, enforced by
 // the package tests).
 func (s *Schedule) RunBatch(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
-	return s.runBatch(top, cfg, rnds, p)
+	if s.runBatch != nil {
+		return s.runBatch(top, cfg, rnds, p)
+	}
+	out := make([]Outcome, len(rnds))
+	for i, r := range rnds {
+		o, err := s.run(top, cfg, r, p)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = o
+	}
+	return out, nil
 }
+
+// Batched reports whether the schedule has a lockstep trial-batched twin.
+// Execution planners run a schedule without one scalar at every width.
+func (s *Schedule) Batched() bool { return s.runBatch != nil }
 
 // PlanTopology returns the topology the schedule would execute on given
 // these arguments: the passed topology for topology-taking schedules, the
@@ -220,12 +245,13 @@ func singleEntry(name, ref string, scalarName, batchName string,
 	}
 }
 
-// multiEntry builds a registry entry for a multi-message schedule pair.
+// multiEntry builds a registry entry for a multi-message schedule; batch
+// (and batchName) are nil/empty for a schedule without a twin.
 func multiEntry(name, ref string, scalarName, batchName string,
 	planTop func(top graph.Topology, p ScheduleParams) graph.Topology,
 	run func(top graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (MultiResult, error),
 	batch func(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]MultiResult, error)) *Schedule {
-	return &Schedule{
+	s := &Schedule{
 		Name: name, Ref: ref, Kind: MultiMessage,
 		scalarName: scalarName, batchName: batchName,
 		planTop: planTop,
@@ -236,10 +262,13 @@ func multiEntry(name, ref string, scalarName, batchName string,
 			}
 			return multiOutcome(res), nil
 		},
-		runBatch: func(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
-			return multiOutcomes(batch(top, cfg, rnds, p))
-		},
 	}
+	if batch != nil {
+		s.runBatch = func(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
+			return multiOutcomes(batch(top, cfg, rnds, p))
+		}
+	}
+	return s
 }
 
 // resolveRepeats applies the Lemma 29 default repetition count to the
@@ -311,7 +340,7 @@ var schedules = []*Schedule{
 		func(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]MultiResult, error) {
 			return SequentialDecayRoutingBatch(top, cfg, p.K, rnds, p.Options)
 		}),
-	multiEntry("star-routing", "Lemma 15", "StarRouting", "StarRoutingBatch",
+	multiEntry("star-routing", "Lemma 15", "StarRouting", "",
 		func(_ graph.Topology, p ScheduleParams) graph.Topology {
 			if p.Leaves < 1 {
 				return graph.Topology{}
@@ -320,11 +349,8 @@ var schedules = []*Schedule{
 		},
 		func(_ graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (MultiResult, error) {
 			return StarRouting(p.Leaves, p.K, cfg, r, p.Options)
-		},
-		func(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]MultiResult, error) {
-			return StarRoutingBatch(p.Leaves, p.K, cfg, rnds, p.Options)
-		}),
-	multiEntry("star-coding", "Lemma 16", "StarCoding", "StarCodingBatch",
+		}, nil),
+	multiEntry("star-coding", "Lemma 16", "StarCoding", "",
 		func(_ graph.Topology, p ScheduleParams) graph.Topology {
 			if p.Leaves < 1 {
 				return graph.Topology{}
@@ -333,64 +359,37 @@ var schedules = []*Schedule{
 		},
 		func(_ graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (MultiResult, error) {
 			return StarCoding(p.Leaves, p.K, cfg, r, p.Options)
-		},
-		func(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]MultiResult, error) {
-			return StarCodingBatch(p.Leaves, p.K, cfg, rnds, p.Options)
-		}),
-	multiEntry("wct-routing", "Lemmas 19/21/22", "WCTRouting", "WCTRoutingBatch", wctPlanTop,
+		}, nil),
+	multiEntry("wct-routing", "Lemmas 19/21/22", "WCTRouting", "", wctPlanTop,
 		func(_ graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (MultiResult, error) {
 			if p.WCT == nil {
 				return MultiResult{}, errNilWCT
 			}
 			return WCTRouting(p.WCT, p.K, cfg, r, p.Options)
-		},
-		func(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]MultiResult, error) {
-			if p.WCT == nil {
-				return nil, errNilWCT
-			}
-			return WCTRoutingBatch(p.WCT, p.K, cfg, rnds, p.Options)
-		}),
-	multiEntry("wct-coding", "Lemma 23", "WCTCoding", "WCTCodingBatch", wctPlanTop,
+		}, nil),
+	multiEntry("wct-coding", "Lemma 23", "WCTCoding", "", wctPlanTop,
 		func(_ graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (MultiResult, error) {
 			if p.WCT == nil {
 				return MultiResult{}, errNilWCT
 			}
 			return WCTCoding(p.WCT, p.K, cfg, r, p.Options)
-		},
-		func(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]MultiResult, error) {
-			if p.WCT == nil {
-				return nil, errNilWCT
-			}
-			return WCTCodingBatch(p.WCT, p.K, cfg, rnds, p.Options)
-		}),
-	multiEntry("single-link-nonadaptive", "Lemma 29", "SingleLinkNonAdaptive", "SingleLinkNonAdaptiveBatch", singleLinkPlanTop,
+		}, nil),
+	multiEntry("single-link-nonadaptive", "Lemma 29", "SingleLinkNonAdaptive", "", singleLinkPlanTop,
 		func(_ graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (MultiResult, error) {
 			return SingleLinkNonAdaptive(p.K, resolveRepeats(p, cfg), cfg, r)
-		},
-		func(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]MultiResult, error) {
-			return SingleLinkNonAdaptiveBatch(p.K, resolveRepeats(p, cfg), cfg, rnds)
-		}),
-	multiEntry("single-link-adaptive", "Lemma 32", "SingleLinkAdaptive", "SingleLinkAdaptiveBatch", singleLinkPlanTop,
+		}, nil),
+	multiEntry("single-link-adaptive", "Lemma 32", "SingleLinkAdaptive", "", singleLinkPlanTop,
 		func(_ graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (MultiResult, error) {
 			return SingleLinkAdaptive(p.K, cfg, r, p.Options)
-		},
-		func(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]MultiResult, error) {
-			return SingleLinkAdaptiveBatch(p.K, cfg, rnds, p.Options)
-		}),
-	multiEntry("single-link-coding", "Lemma 30", "SingleLinkCoding", "SingleLinkCodingBatch", singleLinkPlanTop,
+		}, nil),
+	multiEntry("single-link-coding", "Lemma 30", "SingleLinkCoding", "", singleLinkPlanTop,
 		func(_ graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (MultiResult, error) {
 			return SingleLinkCoding(p.K, cfg, r, p.Options)
-		},
-		func(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]MultiResult, error) {
-			return SingleLinkCodingBatch(p.K, cfg, rnds, p.Options)
-		}),
-	multiEntry("path-pipeline-routing", "Lemma 25 demonstration schedule", "PathPipelineRouting", "PathPipelineRoutingBatch", pathPlanTop,
+		}, nil),
+	multiEntry("path-pipeline-routing", "Lemma 25 demonstration schedule", "PathPipelineRouting", "", pathPlanTop,
 		func(_ graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (MultiResult, error) {
 			return PathPipelineRouting(p.PathLen, p.K, cfg, r, p.Options)
-		},
-		func(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]MultiResult, error) {
-			return PathPipelineRoutingBatch(p.PathLen, p.K, cfg, rnds, p.Options)
-		}),
+		}, nil),
 	multiEntry("pipelined-batch-routing", "Lemmas 20-21", "PipelinedBatchRouting", "PipelinedBatchRoutingBatch", passedTop,
 		func(top graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (MultiResult, error) {
 			return PipelinedBatchRouting(top, p.K, cfg, r, p.Options)
@@ -398,20 +397,14 @@ var schedules = []*Schedule{
 		func(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]MultiResult, error) {
 			return PipelinedBatchRoutingBatch(top, p.K, cfg, rnds, p.Options)
 		}),
-	multiEntry("transformed-path-routing", "Lemma 25", "TransformedPathRouting", "TransformedPathRoutingBatch", pathPlanTop,
+	multiEntry("transformed-path-routing", "Lemma 25", "TransformedPathRouting", "", pathPlanTop,
 		func(_ graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (MultiResult, error) {
 			return TransformedPathRouting(p.PathLen, p.K, cfg, r, p.Transform, p.Options)
-		},
-		func(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]MultiResult, error) {
-			return TransformedPathRoutingBatch(p.PathLen, p.K, cfg, rnds, p.Transform, p.Options)
-		}),
-	multiEntry("transformed-path-coding", "Lemma 26", "TransformedPathCoding", "TransformedPathCodingBatch", pathPlanTop,
+		}, nil),
+	multiEntry("transformed-path-coding", "Lemma 26", "TransformedPathCoding", "", pathPlanTop,
 		func(_ graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (MultiResult, error) {
 			return TransformedPathCoding(p.PathLen, p.K, cfg, r, p.Transform, p.Options)
-		},
-		func(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]MultiResult, error) {
-			return TransformedPathCodingBatch(p.PathLen, p.K, cfg, rnds, p.Transform, p.Options)
-		}),
+		}, nil),
 }
 
 var errNilWCT = fmt.Errorf("broadcast: wct schedule needs ScheduleParams.WCT")

@@ -142,6 +142,54 @@ func TestSchedulePlanTopology(t *testing.T) {
 	}
 }
 
+// TestScheduleTwinRule pins which entries carry a lockstep batch twin.
+// An entry without one must build a topology that radio.Auto resolves to
+// the sparse engine, which never batches, whatever topology the caller
+// passes; an entry with one must run on the caller's topology, which Auto
+// can resolve to the dense engine. Star and path sizes sample 1..5000
+// (every size up to 16, then steps of about an eighth) instead of every
+// size, so the test does not memoise thousands of graphs.
+func TestScheduleTwinRule(t *testing.T) {
+	auto := radio.Config{}
+	dense := graph.Complete(96)
+	if auto.ResolveEngine(dense.G) != radio.Dense {
+		t.Fatal("Complete(96) does not resolve dense under Auto")
+	}
+	var params []ScheduleParams
+	for n := 1; n <= 5000; n = max(n+1, n+n/8) {
+		params = append(params, ScheduleParams{Leaves: n, PathLen: n, K: 2})
+	}
+	params = append(params, ScheduleParams{Leaves: 5000, PathLen: 5000, K: 2})
+	for n := 16; n <= 16384; n *= 2 {
+		params = append(params, ScheduleParams{WCT: graph.NewWCT(graph.DefaultWCTParams(n), rng.New(uint64(n))), K: 2})
+	}
+	for _, s := range Schedules() {
+		if s.Batched() != (s.batchName != "") {
+			t.Errorf("%s: Batched() = %v but batch name %q", s.Name, s.Batched(), s.batchName)
+		}
+		if s.Batched() {
+			if got := s.PlanTopology(dense, ScheduleParams{K: 2}); got.G != dense.G {
+				t.Errorf("%s: has a twin but does not run on the caller's topology", s.Name)
+			}
+			continue
+		}
+		planned := 0
+		for _, p := range params {
+			pt := s.PlanTopology(dense, p)
+			if pt.G == nil {
+				continue // p does not size this schedule's topology
+			}
+			planned++
+			if e := auto.ResolveEngine(pt.G); e != radio.Sparse {
+				t.Errorf("%s: no twin, but its %d-node topology resolves to %v under Auto", s.Name, pt.G.N(), e)
+			}
+		}
+		if planned == 0 {
+			t.Errorf("%s: no twin and no sized topology to check", s.Name)
+		}
+	}
+}
+
 func TestLookupScheduleUnknown(t *testing.T) {
 	_, err := LookupSchedule("totally-bogus")
 	var unk *UnknownScheduleError

@@ -16,8 +16,10 @@ import (
 // (Result, error), (MultiResult, error) or (MultiResult, [][]byte, error)
 // and batch twins returning ([]Result, error) or ([]MultiResult, error) —
 // must be reachable from exactly one registry entry, and every entry must
-// name real functions. Running as an analyzer, the check fires from `go
-// vet` on every build instead of only inside broadcast's own test binary.
+// name real functions. An entry may leave batchName empty (a schedule
+// without a lockstep twin); it then registers only its scalar function.
+// Running as an analyzer, the check fires from `go vet` on every build
+// instead of only inside broadcast's own test binary.
 var RegistryAnalyzer = &Analyzer{
 	Name: "registry",
 	Doc: "require every exported schedule-shaped function to be wired into exactly one\n" +

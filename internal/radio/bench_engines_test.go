@@ -78,10 +78,9 @@ func BenchmarkStepDenseSilent(b *testing.B) {
 // benchStepSet measures StepSet with nTx contiguous broadcasters starting
 // at start, receptions batched into an rx bitset (no closure). Per-round
 // allocations must be zero.
-func benchStepSet(b *testing.B, top graph.Topology, cfg Config, start, nTx int, fullScan bool) {
+func benchStepSet(b *testing.B, top graph.Topology, cfg Config, start, nTx int) {
 	b.Helper()
 	net := MustNew[int32](top.G, cfg, rng.New(2))
-	net.setFullScan(fullScan)
 	n := top.G.N()
 	payload := make([]int32, n)
 	tx := microbenchTx(n, start, nTx)
@@ -94,22 +93,17 @@ func benchStepSet(b *testing.B, top graph.Topology, cfg Config, start, nTx int, 
 	}
 }
 
-// BenchmarkStepSetSparseBroadcasters pins the windowing acceptance number:
-// on Complete(1024) with n/64 contiguous mid-range broadcasters (the
-// early-Decay / single-slot regime; well under the ≤ n/16 bar), the
-// windowed dense resolution must be ≥ 2x faster per round than the
-// full-scan resolution the engine used before row/tx windows, with zero
-// per-round allocations. The Step variant measures what the []bool
+// BenchmarkStepSetSparseBroadcasters measures the windowed dense
+// resolution on Complete(1024) with n/64 contiguous mid-range broadcasters
+// (the early-Decay / single-slot regime; well under the ≤ n/16 bar), with
+// zero per-round allocations. The Step variant measures what the []bool
 // adapter's packing scan costs on top.
 func BenchmarkStepSetSparseBroadcasters(b *testing.B) {
 	top := graph.Complete(1024)
 	n := top.G.N()
 	cfg := Config{Fault: ReceiverFaults, P: 0.3, Engine: Dense}
 	b.Run("stepset-windowed", func(b *testing.B) {
-		benchStepSet(b, top, cfg, n/2, n/64, false)
-	})
-	b.Run("stepset-fullscan", func(b *testing.B) {
-		benchStepSet(b, top, cfg, n/2, n/64, true)
+		benchStepSet(b, top, cfg, n/2, n/64)
 	})
 	b.Run("step-adapter", func(b *testing.B) {
 		net := MustNew[int32](top.G, cfg, rng.New(2))
@@ -125,7 +119,7 @@ func BenchmarkStepSetSparseBroadcasters(b *testing.B) {
 	b.Run("sparse-engine", func(b *testing.B) {
 		sparse := cfg
 		sparse.Engine = Sparse
-		benchStepSet(b, top, sparse, n/2, n/64, false)
+		benchStepSet(b, top, sparse, n/2, n/64)
 	})
 }
 
@@ -137,7 +131,7 @@ func BenchmarkStepSetWCT(b *testing.B) {
 	n := top.G.N()
 	for _, eng := range []Engine{Sparse, Dense} {
 		b.Run(eng.String(), func(b *testing.B) {
-			benchStepSet(b, top, Config{Fault: ReceiverFaults, P: 0.3, Engine: eng}, 1, n/64, false)
+			benchStepSet(b, top, Config{Fault: ReceiverFaults, P: 0.3, Engine: eng}, 1, n/64)
 		})
 	}
 }
@@ -152,7 +146,7 @@ func BenchmarkStepBatch(b *testing.B) {
 	n := top.G.N()
 	cfg := Config{Fault: Faultless, Engine: Dense}
 	b.Run("scalar-stepset", func(b *testing.B) {
-		benchStepSet(b, top, cfg, n/2, n/64, false)
+		benchStepSet(b, top, cfg, n/2, n/64)
 	})
 	for _, w := range []int{1, 4, 8, 16} {
 		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {

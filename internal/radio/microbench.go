@@ -28,12 +28,11 @@ import (
 // GNP (mean degree 8) with n/8 broadcasters (about two thirds of the
 // nodes touched).
 //
-// Two extra rows per n quantify the fast path against its own
-// compatibility layers on the dense engine: "step" drives the identical
-// round through the []bool adapter (the packing scan the set-native API
-// removes), and "stepset-fullscan" disables the tx/row word windows (the
-// pre-window resolution). Their ratios to the plain dense "stepset" row
-// are what the StepSet redesign buys per round.
+// One extra row per n quantifies the fast path against its compatibility
+// layer on the dense engine: "step" drives the identical round through the
+// []bool adapter (the packing scan the set-native API removes); its ratio
+// to the plain dense "stepset" row is what the StepSet redesign buys per
+// round.
 func EngineMicrobench() []benchreport.Microbench {
 	var out []benchreport.Microbench
 	for _, n := range []int{256, 1024} {
@@ -55,7 +54,7 @@ func EngineMicrobench() []benchreport.Microbench {
 				{Implicit, complete, "implicit/complete"},
 			} {
 				cfg.Engine = m.engine
-				ns, allocs := measureRounds(m.top, cfg, tx, stepModeSet, false)
+				ns, allocs := measureRounds(m.top, cfg, tx, stepModeSet)
 				out = append(out, benchreport.Microbench{
 					Name:           fmt.Sprintf("stepset/%s/%s/n=%d", m.name, fault, n),
 					NsPerRound:     ns,
@@ -63,17 +62,11 @@ func EngineMicrobench() []benchreport.Microbench {
 				})
 			}
 		}
-		// Dense controls: the []bool adapter and the window-disabled scan.
+		// Dense control: the []bool adapter.
 		ctl := Config{Fault: Faultless, Engine: Dense}
-		ns, allocs := measureRounds(complete, ctl, tx, stepModeBools, false)
+		ns, allocs := measureRounds(complete, ctl, tx, stepModeBools)
 		out = append(out, benchreport.Microbench{
 			Name:           fmt.Sprintf("step/dense/complete/%s/n=%d", Faultless, n),
-			NsPerRound:     ns,
-			AllocsPerRound: allocs,
-		})
-		ns, allocs = measureRounds(complete, ctl, tx, stepModeSet, true)
-		out = append(out, benchreport.Microbench{
-			Name:           fmt.Sprintf("stepset-fullscan/dense/complete/%s/n=%d", Faultless, n),
 			NsPerRound:     ns,
 			AllocsPerRound: allocs,
 		})
@@ -106,7 +99,7 @@ func EngineMicrobench() []benchreport.Microbench {
 			if fault != Faultless {
 				cfg.P = 0.3
 			}
-			ns, allocs := measureRounds(m.top, cfg, m.tx, stepModeSet, false)
+			ns, allocs := measureRounds(m.top, cfg, m.tx, stepModeSet)
 			out = append(out, benchreport.Microbench{
 				Name:           fmt.Sprintf("stepset/%s/%s/n=%d", m.name, fault, sparseN),
 				NsPerRound:     ns,
@@ -221,9 +214,8 @@ func measureBatchRounds(top graph.Topology, cfg Config, n, w int) (nsPerTrialRou
 
 // measureRounds times one configuration broadcasting tx every round
 // through the shared timeRounds harness.
-func measureRounds(top graph.Topology, cfg Config, tx *bitset.Set, mode int, fullScan bool) (nsPerRound, allocsPerRound float64) {
+func measureRounds(top graph.Topology, cfg Config, tx *bitset.Set, mode int) (nsPerRound, allocsPerRound float64) {
 	net := MustNew[int32](top.G, cfg, rng.New(0x6d6963726f))
-	net.setFullScan(fullScan)
 	n := top.G.N()
 	payload := make([]int32, n)
 	bc := make([]bool, n)

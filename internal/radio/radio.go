@@ -812,12 +812,6 @@ type Network[P any] struct {
 	// overwrites it wholesale each round, so it needs no clearing.
 	scratchTx *bitset.Set
 
-	// fullScan disables the dense engine's tx/row windowing (every
-	// listener scans the full word range, as the pre-window engine did).
-	// Results are identical either way; only benchmarks enable it (via
-	// setFullScan), to measure what windowing buys.
-	fullScan bool
-
 	// Shared per-round scratch. senderNoise is only allocated under
 	// SenderFaults — the only model that ever writes it — so the other
 	// models pay nothing for it, in Reset or anywhere else.
@@ -904,27 +898,6 @@ func New[P any](g *graph.Graph, cfg Config, rnd *rng.Stream) (*Network[P], error
 		n.sparse = newSparseScratch(g.N())
 	}
 	return n, nil
-}
-
-// setFullScan toggles the dense engine's windowing off (on = true) by
-// substituting full-range row windows, or restores the real ones. A
-// measurement knob for benchmarks only — executions are identical either
-// way, just slower without the windows.
-func (n *Network[P]) setFullScan(on bool) {
-	n.fullScan = on
-	if n.engine != Dense {
-		return
-	}
-	if on {
-		lo := make([]int32, n.g.N())
-		hi := make([]int32, n.g.N())
-		for i := range hi {
-			hi[i] = int32(n.adjStride)
-		}
-		n.rowLo, n.rowHi = lo, hi
-	} else {
-		n.rowLo, n.rowHi = n.adjBits.RowRanges()
-	}
 }
 
 // MustNew is New but panics on error, for configurations known valid.
@@ -1299,9 +1272,6 @@ func (n *Network[P]) stepSetDense(tx *bitset.Set, payload []P, rx *bitset.Set, d
 	// straight off the tx words (bulk-marked when no per-site walk is
 	// required — see markBroadcasters).
 	n.markBroadcasters(txw, txLo, txHi)
-	if n.fullScan {
-		txLo, txHi = 0, len(txw)
-	}
 	if n.adjStride >= denseBlockMinStride {
 		n.denseListenersBlocked(txw, txLo, txHi, payload, rx, deliver)
 		return

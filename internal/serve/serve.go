@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"net/http"
 	"sort"
 	"sync"
@@ -52,9 +53,9 @@ type Config struct {
 	// CacheSize bounds the result cache in entries (finished bodies).
 	// 0 means 1024.
 	CacheSize int
-	// Shards fixes the per-job shard count. 0 derives it from the trial
-	// count: min(8, ceil(trials/32)) — small jobs stay unsharded, large
-	// jobs get snapshot granularity.
+	// Shards fixes the per-job shard count, clamped to the job's trial
+	// count. 0 derives it from the trial count: min(8, ceil(trials/32)) —
+	// small jobs stay unsharded, large jobs get snapshot granularity.
 	Shards int
 	// Workers and TrialBatch configure each job's sim.Sweep
 	// (0 = GOMAXPROCS workers; TrialBatchAuto plans the batch width).
@@ -118,19 +119,24 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 
 // ShardPlan returns the deterministic shard count for a trial count
 // under this server's config — exported so tests and the microbench can
-// predict where snapshot lines fall.
+// predict where snapshot lines fall. A fixed Config.Shards is clamped to
+// trials so that no shard is empty.
 func (s *Server) ShardPlan(trials int) int {
-	if s.cfg.Shards > 0 {
-		return s.cfg.Shards
+	shards := s.cfg.Shards
+	if shards <= 0 {
+		shards = min((trials-1)/32+1, 8)
 	}
-	shards := (trials + 31) / 32
-	if shards > 8 {
-		shards = 8
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	return shards
+	return max(min(shards, trials), 1)
+}
+
+// shardStart returns the first trial of shard i (0 <= i <= shards) of a
+// job of trials trials: floor(i*trials/shards), with the product taken in
+// 128 bits because it overflows an int for large trial counts. Shard i
+// covers [shardStart(i), shardStart(i+1)).
+func shardStart(i, trials, shards int) int {
+	hi, lo := bits.Mul64(uint64(i), uint64(trials))
+	q, _ := bits.Div64(hi, lo, uint64(shards)) // hi < shards since i <= shards
+	return int(q)
 }
 
 // job is a validated, resolved submission: everything the sweep needs,
@@ -315,8 +321,8 @@ func (s *Server) execute(ctx context.Context, jb *job, w http.ResponseWriter) (b
 	sw := sim.NewSweep(sim.SweepConfig{Workers: s.cfg.Workers, TrialBatch: s.cfg.TrialBatch})
 	rows := make([]*sim.Row, jb.shards)
 	for i := range rows {
-		start := i * jb.spec.Trials / jb.shards
-		end := (i + 1) * jb.spec.Trials / jb.shards
+		start := shardStart(i, jb.spec.Trials, jb.shards)
+		end := shardStart(i+1, jb.spec.Trials, jb.shards)
 		rows[i] = sw.AddScheduleShard(jb.sched, jb.top, jb.cfg, jb.params, start, end, jb.spec.Seed, scheduleValue)
 	}
 	s.metrics.inflight.Add(int64(jb.shards))

@@ -407,17 +407,76 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-// TestShardPlan pins the deterministic shard-count derivation.
+// TestShardPlan pins the deterministic shard-count derivation, including
+// trial counts near MaxInt and a fixed count clamped to the trial count.
 func TestShardPlan(t *testing.T) {
 	s := NewServer(Config{})
-	for _, tc := range [][2]int{{1, 1}, {32, 1}, {33, 2}, {64, 2}, {256, 8}, {100000, 8}} {
+	for _, tc := range [][2]int{{1, 1}, {32, 1}, {33, 2}, {64, 2}, {256, 8}, {100000, 8}, {math.MaxInt / 2, 8}, {math.MaxInt, 8}} {
 		if got := s.ShardPlan(tc[0]); got != tc[1] {
 			t.Errorf("ShardPlan(%d) = %d, want %d", tc[0], got, tc[1])
 		}
 	}
 	fixed := NewServer(Config{Shards: 3})
-	if got := fixed.ShardPlan(100000); got != 3 {
-		t.Errorf("fixed ShardPlan = %d, want 3", got)
+	for _, tc := range [][2]int{{100000, 3}, {3, 3}, {2, 2}, {1, 1}} {
+		if got := fixed.ShardPlan(tc[0]); got != tc[1] {
+			t.Errorf("fixed ShardPlan(%d) = %d, want %d", tc[0], got, tc[1])
+		}
+	}
+}
+
+// TestShardStart: shard bounds are floor(i*trials/shards) without
+// overflow — equal to the plain formula wherever that does not overflow,
+// and a partition of [0, trials) into near-equal shards at MaxInt.
+func TestShardStart(t *testing.T) {
+	for trials := 1; trials <= 300; trials++ {
+		for shards := 1; shards <= min(trials, 9); shards++ {
+			for i := 0; i <= shards; i++ {
+				if got, want := shardStart(i, trials, shards), i*trials/shards; got != want {
+					t.Fatalf("shardStart(%d, %d, %d) = %d, want %d", i, trials, shards, got, want)
+				}
+			}
+		}
+	}
+	for _, tc := range []struct{ trials, shards int }{
+		{math.MaxInt, 8}, {math.MaxInt, 7}, {math.MaxInt, 1}, {math.MaxInt / 2, 8}, {math.MaxInt / 2, 3},
+	} {
+		prev := shardStart(0, tc.trials, tc.shards)
+		if prev != 0 {
+			t.Errorf("trials %d, shards %d: shard 0 starts at %d", tc.trials, tc.shards, prev)
+		}
+		for i := 1; i <= tc.shards; i++ {
+			next := shardStart(i, tc.trials, tc.shards)
+			if size := next - prev; size != tc.trials/tc.shards && size != tc.trials/tc.shards+1 {
+				t.Errorf("trials %d, shards %d: shard %d has %d trials", tc.trials, tc.shards, i-1, size)
+			}
+			prev = next
+		}
+		if prev != tc.trials {
+			t.Errorf("trials %d, shards %d: last shard ends at %d", tc.trials, tc.shards, prev)
+		}
+	}
+}
+
+// TestFixedShardsAboveTrials: a fixed shard count larger than the trial
+// count runs the job (one trial per shard) and caches it, so the
+// resubmission is a hit instead of waiting on a dead flight.
+func TestFixedShardsAboveTrials(t *testing.T) {
+	ts := httptest.NewServer(NewServer(Config{Shards: 8}))
+	defer ts.Close()
+	spec := testSpec()
+	spec.Trials = 3
+	_, body := postJob(t, ts, spec)
+	lines := bytes.Split(bytes.TrimSpace(body), []byte("\n"))
+	var last Line
+	if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil {
+		t.Fatalf("last line of %q: %v", body, err)
+	}
+	if last.Type != "result" || last.Shards != 3 || last.Stats == nil || last.Stats.N+last.Stats.Dropped != 3 {
+		t.Fatalf("last line = %+v, want a result over 3 one-trial shards", last)
+	}
+	resp, again := postJob(t, ts, spec)
+	if got := resp.Header.Get("X-Cache"); got != "hit" || !bytes.Equal(body, again) {
+		t.Fatalf("resubmission X-Cache = %q (bodies equal: %v), want a byte-identical hit", got, bytes.Equal(body, again))
 	}
 }
 

@@ -18,8 +18,10 @@ import (
 // whether trials execute scalar or as W-wide lockstep batches — and at
 // which W — follows SweepConfig.TrialBatch, with TrialBatchAuto planning W
 // from the trial count, the resolved engine and the recorded stepbatch
-// microbench trajectory. The scalar/batch fork never reaches the caller,
-// and the chosen plan is recorded in the process plan log (PlanLog).
+// microbench trajectory; a schedule without a lockstep twin
+// (broadcast.Schedule.Batched) runs scalar at every width. The
+// scalar/batch fork never reaches the caller, and the chosen plan is
+// recorded in the process plan log (PlanLog).
 //
 // value maps one outcome to the row's float64; returning an error fails
 // the trial (lowest-trial-first, as for TrialFunc), returning NaN feeds
@@ -65,9 +67,12 @@ func (s *Sweep) addSchedule(sched *broadcast.Schedule, top graph.Topology, cfg r
 		}
 		return value(out)
 	}
-	batch := AdaptBatch(func(rnds []*rng.Stream) ([]broadcast.Outcome, error) {
-		return sched.RunBatch(top, cfg, rnds, p)
-	}, value)
+	var batch BatchTrialFunc
+	if sched.Batched() {
+		batch = AdaptBatch(func(rnds []*rng.Stream) ([]broadcast.Outcome, error) {
+			return sched.RunBatch(top, cfg, rnds, p)
+		}, value)
+	}
 	row := s.AddBatch(trials, seed, scalar, batch)
 	row.base = base
 	row.sched = sched.Name

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"noisyradio/internal/benchreport"
 	"noisyradio/internal/broadcast"
 	"noisyradio/internal/graph"
 	"noisyradio/internal/radio"
@@ -161,18 +162,60 @@ func TestAddScheduleImplicitPlan(t *testing.T) {
 	ResetPlanLog()
 }
 
-// TestAddScheduleErrors: a schedule error (nil WCT) surfaces as the row
-// error under both scalar and batched plans, lowest trial first.
+// TestAddScheduleErrors: a schedule error (nil WCT on a twinless entry,
+// K = 0 on one with a twin) surfaces as the row error under both scalar
+// and batched plans, lowest trial first.
 func TestAddScheduleErrors(t *testing.T) {
-	for _, tb := range []int{0, 4} {
+	for _, c := range []struct {
+		name string
+		top  graph.Topology
+		p    broadcast.ScheduleParams
+	}{
+		{"wct-routing", graph.Topology{}, broadcast.ScheduleParams{K: 2}},
+		{"rlnc", graph.Path(8), broadcast.ScheduleParams{}},
+	} {
+		for _, tb := range []int{0, 4} {
+			sw := NewSweep(SweepConfig{Workers: 2, TrialBatch: tb})
+			row := sw.AddSchedule(mustSchedule(t, c.name), c.top, radio.Config{Fault: radio.Faultless}, c.p, 8, 1,
+				func(out broadcast.Outcome) (float64, error) { return float64(out.Rounds), nil })
+			if err := sw.Run(); err == nil {
+				t.Fatalf("%s TrialBatch=%d: failing schedule row succeeded", c.name, tb)
+			}
+			if err := row.Err(); err == nil {
+				t.Fatalf("%s TrialBatch=%d: row reports no error", c.name, tb)
+			}
+		}
+	}
+}
+
+// TestAddScheduleTwinlessRunsScalar: a schedule without a lockstep twin
+// runs scalar even when the dense engine and a forced width would batch
+// it, records why, and folds exactly what the unbatched row folds.
+func TestAddScheduleTwinlessRunsScalar(t *testing.T) {
+	ResetPlanLog()
+	defer ResetPlanLog()
+	ncfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.5, Engine: radio.Dense}
+	p := broadcast.ScheduleParams{Leaves: 10, K: 3}
+	value := func(out broadcast.Outcome) (float64, error) { return float64(out.Rounds), nil }
+	run := func(tb int) *Row {
 		sw := NewSweep(SweepConfig{Workers: 2, TrialBatch: tb})
-		row := sw.AddSchedule(mustSchedule(t, "wct-routing"), graph.Topology{}, radio.Config{Fault: radio.Faultless}, broadcast.ScheduleParams{K: 2}, 8, 1,
-			func(out broadcast.Outcome) (float64, error) { return float64(out.Rounds), nil })
-		if err := sw.Run(); err == nil {
-			t.Fatalf("TrialBatch=%d: nil-WCT schedule row succeeded", tb)
+		row := sw.AddSchedule(mustSchedule(t, "star-routing"), graph.Topology{}, ncfg, p, 20, 5, value)
+		if err := sw.Run(); err != nil {
+			t.Fatal(err)
 		}
-		if err := row.Err(); err == nil {
-			t.Fatalf("TrialBatch=%d: row reports no error", tb)
-		}
+		return row
+	}
+	batched := run(8)
+	if batched.width > 1 {
+		t.Fatalf("twinless row ran at width %d, want scalar", batched.width)
+	}
+	plans := PlanLog()
+	want := benchreport.Plan{Schedule: "star-routing", Engine: "dense", Draw: ncfg.DrawLabel(), Trials: 20, Width: 1,
+		Reason: "scalar: star-routing has no lockstep twin", Count: 1}
+	if len(plans) != 1 || plans[0] != want {
+		t.Fatalf("plan log = %+v, want [%+v]", plans, want)
+	}
+	if scalar := run(0); *batched.Acc() != *scalar.Acc() {
+		t.Fatalf("TrialBatch 8 folded %+v, TrialBatch 0 folded %+v", *batched.Acc(), *scalar.Acc())
 	}
 }

@@ -12,22 +12,28 @@ import (
 	"noisyradio/internal/stats"
 )
 
-// planWidth resolves the effective lockstep width of one batch-capable
-// row from the sweep's TrialBatch setting: a forced width is clamped to
-// MaxTrialBatch, TrialBatchAuto asks the radio planner with the row's
-// resolved engine and trial count, anything else runs scalar.
-func (s *Sweep) planWidth(row *Row) (int, string) {
+// planWidth resolves the effective lockstep width of one schedule or
+// batch-capable row from the sweep's TrialBatch setting: a forced width is
+// clamped to MaxTrialBatch, TrialBatchAuto asks the radio planner with the
+// row's resolved engine and trial count, anything else runs scalar. A
+// schedule row without a lockstep twin (no batch function) runs scalar
+// whatever width was planned.
+func (s *Sweep) planWidth(row *Row) (w int, reason string) {
 	tb := s.cfg.TrialBatch
 	switch {
 	case tb == TrialBatchAuto:
-		return radio.PlanBatchWidth(row.planEngine, row.trials)
+		w, reason = radio.PlanBatchWidth(row.planEngine, row.trials)
 	case tb > MaxTrialBatch:
-		return MaxTrialBatch, fmt.Sprintf("forced width clamped to %d", MaxTrialBatch)
+		w, reason = MaxTrialBatch, fmt.Sprintf("forced width clamped to %d", MaxTrialBatch)
 	case tb > 1:
-		return tb, fmt.Sprintf("forced width %d", tb)
+		w, reason = tb, fmt.Sprintf("forced width %d", tb)
 	default:
 		return 1, "scalar (trial batching off)"
 	}
+	if w > 1 && row.batch == nil {
+		return 1, fmt.Sprintf("scalar: %s has no lockstep twin", row.sched)
+	}
+	return w, reason
 }
 
 // SweepConfig tunes a Sweep. The zero value selects sensible defaults.
@@ -46,9 +52,9 @@ type SweepConfig struct {
 	// multiple of the batch width so chunks split into whole batches.
 	ChunkSize int
 	// TrialBatch is the lockstep batch width W for rows registered with a
-	// batch-capable trial function (AddBatch or AddSchedule): a worker runs
-	// W consecutive trials of such a row through one batched execution
-	// instead of W scalar ones. 0 (or 1) runs everything scalar; values
+	// batch-capable trial function (AddBatch, or AddSchedule of a schedule
+	// with a lockstep twin): a worker runs W consecutive trials of such a
+	// row through one batched execution instead of W scalar ones. 0 (or 1) runs everything scalar; values
 	// beyond MaxTrialBatch are clamped; TrialBatchAuto plans the width per
 	// row from its trial count, its resolved radio engine and the recorded
 	// stepbatch microbench trajectory (radio.PlanBatchWidth). Purely a
@@ -276,7 +282,7 @@ func (s *Sweep) RunContext(ctx context.Context) error {
 		if row.chunk <= 0 {
 			row.chunk = dispatchChunk(row.trials, workers)
 		}
-		if row.batch != nil {
+		if row.batch != nil || row.sched != "" {
 			width, reason := s.planWidth(row)
 			if width > 1 {
 				row.width = width
