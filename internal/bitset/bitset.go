@@ -145,6 +145,31 @@ func (s *Set) ForEach(fn func(i int)) {
 // >= Len() in the last word are always zero.
 func (s *Set) Words() []uint64 { return s.words }
 
+// OrWord adds the elements of m to word wi: bit b of m is element
+// wi*64+b. m must have no bits at positions >= Len() — the word-level
+// counterpart of Set, for consumers that resolve 64 elements at a time.
+func (s *Set) OrWord(wi int, m uint64) { s.words[wi] |= m }
+
+// Window returns the 64 elements [start, start+64) as one word: bit b is
+// element start+b, and positions outside [0, Len()) read as zero. start
+// may be negative or past the end. It is the shifted view word-parallel
+// neighbour counts are built from (the left neighbours of word wi's
+// elements are Window(wi*64-1)).
+func (s *Set) Window(start int) uint64 {
+	if start <= -wordBits || start >= s.n {
+		return 0
+	}
+	if start < 0 {
+		return s.words[0] << uint(-start)
+	}
+	wi, off := start/wordBits, uint(start)%wordBits
+	w := s.words[wi] >> off
+	if off != 0 && wi+1 < len(s.words) {
+		w |= s.words[wi+1] << (wordBits - off)
+	}
+	return w
+}
+
 // NonzeroRange returns the half-open word-index window [lo, hi) covering
 // every nonzero word of the set: Words()[w] == 0 for all w outside it.
 // An empty set yields (0, 0). Windowed consumers (the dense radio engine)

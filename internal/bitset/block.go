@@ -64,6 +64,10 @@ func (b *Block) Test(l, i int) bool {
 	return b.words[(i/wordBits)*b.w+l]&(1<<(uint(i)%wordBits)) != 0
 }
 
+// OrLaneWord adds the elements of m to word wi of lane l — the lane-wise
+// Set.OrWord; m must have no bits at positions >= Len().
+func (b *Block) OrLaneWord(l, wi int, m uint64) { b.words[wi*b.w+l] |= m }
+
 // LaneCount returns the number of present elements in lane l.
 func (b *Block) LaneCount(l int) int {
 	c := 0

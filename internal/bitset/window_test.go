@@ -207,3 +207,53 @@ func TestMatrixRowRangeOutOfRangePanics(t *testing.T) {
 	}()
 	NewMatrix(2, 10).RowRange(2)
 }
+
+// TestWindowMatchesBitwise checks Window against a bit-by-bit read at
+// every start offset around and across word edges, including starts
+// before 0 and past Len(), where the outside positions must read as zero.
+func TestWindowMatchesBitwise(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 65, 130} {
+		s := New(n)
+		for i := 0; i < n; i++ {
+			if (i*7+3)%5 < 2 {
+				s.Set(i)
+			}
+		}
+		for start := -70; start <= n+70; start++ {
+			var want uint64
+			for b := 0; b < 64; b++ {
+				if i := start + b; i >= 0 && i < n && s.Test(i) {
+					want |= 1 << uint(b)
+				}
+			}
+			if got := s.Window(start); got != want {
+				t.Fatalf("n=%d: Window(%d) = %#x, want %#x", n, start, got, want)
+			}
+		}
+	}
+}
+
+// TestOrWord checks the word-level adds against per-element Set, on a
+// Set and on one lane of a Block.
+func TestOrWord(t *testing.T) {
+	const n = 130
+	s, want := New(n), New(n)
+	b := NewBlock(n, 3)
+	for wi, m := range []uint64{0x8000000000000001, 0, 0x3} {
+		s.OrWord(wi, m)
+		b.OrLaneWord(1, wi, m)
+		for bit := 0; bit < 64; bit++ {
+			if m>>uint(bit)&1 == 1 {
+				want.Set(wi*64 + bit)
+			}
+		}
+	}
+	got := New(n)
+	b.LaneToSet(1, got)
+	if s.String() != want.String() || got.String() != want.String() {
+		t.Fatalf("OrWord %v, OrLaneWord %v, want %v", s, got, want)
+	}
+	if !b.LaneEmpty(0) || !b.LaneEmpty(2) {
+		t.Fatal("OrLaneWord touched another lane")
+	}
+}

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 
 	"noisyradio/internal/bitset"
 	"noisyradio/internal/graph"
@@ -138,13 +139,52 @@ type scheduleFactory func() scheduleFunc
 // Bernoulli-sample broadcasters in O(expected broadcasters) time via
 // geometric skips rather than O(n) per round.
 type singleRunner struct {
-	net          *radio.Network[struct{}]
+	net *radio.Network[struct{}]
+	*runnerState
+	payload []struct{}
+	rnd     *rng.Stream
+}
+
+// runnerState is the part of a singleRunner that depends only on the node
+// count: the informed set, its arrival-order list at full capacity n (so
+// it never grows), and the round's tx and rx sets. A trial checks one out
+// clean, leaves tx and rx clean after every round, and hands it back with
+// the informed state cleared, so states are reused across trials instead
+// of reallocated.
+type runnerState struct {
 	informed     *bitset.Set
 	informedList []int32
 	tx           *bitset.Set // broadcasters this round
 	rx           *bitset.Set // successful receivers this round
-	payload      []struct{}
-	rnd          *rng.Stream
+}
+
+// runnerStates pools runnerStates by node count: n -> *sync.Pool. The
+// sync.Pool lets the collector reclaim states of sizes no longer run.
+var runnerStates sync.Map
+
+func getRunnerState(n int) *runnerState {
+	p, ok := runnerStates.Load(n)
+	if !ok {
+		p, _ = runnerStates.LoadOrStore(n, &sync.Pool{})
+	}
+	if st, ok := p.(*sync.Pool).Get().(*runnerState); ok {
+		return st
+	}
+	return &runnerState{
+		informed:     bitset.New(n),
+		informedList: make([]int32, 0, n),
+		tx:           bitset.New(n),
+		rx:           bitset.New(n),
+	}
+}
+
+// putRunnerState clears st's informed state and returns it to its pool;
+// tx and rx are already clean.
+func putRunnerState(st *runnerState) {
+	st.informed.Reset()
+	st.informedList = st.informedList[:0]
+	p, _ := runnerStates.Load(st.informed.Len())
+	p.(*sync.Pool).Put(st)
 }
 
 func newSingleRunner(g *graph.Graph, src int, cfg radio.Config, r *rng.Stream) (*singleRunner, error) {
@@ -152,16 +192,14 @@ func newSingleRunner(g *graph.Graph, src int, cfg radio.Config, r *rng.Stream) (
 	if err != nil {
 		return nil, err
 	}
-	informed := bitset.New(g.N())
-	informed.Set(src)
+	st := getRunnerState(g.N())
+	st.informed.Set(src)
+	st.informedList = append(st.informedList, int32(src))
 	return &singleRunner{
-		net:          net,
-		informed:     informed,
-		informedList: []int32{int32(src)},
-		tx:           bitset.New(g.N()),
-		rx:           bitset.New(g.N()),
-		payload:      make([]struct{}, g.N()),
-		rnd:          r,
+		net:         net,
+		runnerState: st,
+		payload:     make([]struct{}, g.N()),
+		rnd:         r,
 	}, nil
 }
 
@@ -187,22 +225,25 @@ func (s *singleRunner) Informed(v int32) bool {
 // schedule must mark broadcasters via the marker view for the given round.
 func (s *singleRunner) run(maxRounds int, schedule scheduleFunc) Result {
 	n := s.informed.Len()
+	infw := s.informed.Words()
 	round := 0
 	for ; round < maxRounds && len(s.informedList) < n; round++ {
 		schedule(s, round)
 		s.net.StepSet(s.tx, s.payload, s.rx, nil)
-		// Fold the round's receivers into the informed set in ascending id
-		// order — the order the delivery callback used to observe them —
-		// then clear tx and rx over their nonzero windows only.
+		// Fold the round's new receivers (rx &^ informed) into the informed
+		// set word by word, listing them in ascending id order — the order
+		// the delivery callback used to observe them — then clear tx and
+		// rx over their nonzero windows only.
 		rxw := s.rx.Words()
 		lo, hi := s.rx.NonzeroRange()
 		for wi := lo; wi < hi; wi++ {
-			for w := rxw[wi]; w != 0; w &= w - 1 {
-				v := wi*64 + bits.TrailingZeros64(w)
-				if !s.informed.Test(v) {
-					s.informed.Set(v)
-					s.informedList = append(s.informedList, int32(v))
-				}
+			fresh := rxw[wi] &^ infw[wi]
+			if fresh == 0 {
+				continue
+			}
+			s.informed.OrWord(wi, fresh)
+			for ; fresh != 0; fresh &= fresh - 1 {
+				s.informedList = append(s.informedList, int32(wi*64+bits.TrailingZeros64(fresh)))
 			}
 		}
 		s.rx.ResetWindow(lo, hi)
@@ -214,10 +255,12 @@ func (s *singleRunner) run(maxRounds int, schedule scheduleFunc) Result {
 		Informed: len(s.informedList),
 		Channel:  s.net.Stats(),
 	}
-	// The runner drives exactly one execution; recycle the network for the
-	// next trial over this graph.
+	// The runner drives exactly one execution; recycle the network and
+	// the informed-set scratch for the next trial.
 	sigPool.Put(s.net)
 	s.net = nil
+	putRunnerState(s.runnerState)
+	s.runnerState = nil
 	return res
 }
 

@@ -38,42 +38,50 @@ type NeighborModel interface {
 	Edges() int64
 	// NewTxCounter returns a fresh per-round transmitting-neighbour
 	// counter over this model. Counters are stateful between Begin and the
-	// Count calls of one round and are not safe for concurrent use; each
+	// queries of one round and are not safe for concurrent use; each
 	// network owns its own.
 	NewTxCounter() TxCounter
 }
 
 // A TxCounter answers, for one round's broadcast set, the query at the
-// heart of radio-channel resolution: how many neighbours of listener u are
-// transmitting, and which one when the answer is exactly one.
+// heart of radio-channel resolution — how many neighbours of each
+// listener are transmitting, and which one when the answer is exactly one
+// — 64 listeners at a time.
 type TxCounter interface {
 	// Begin prepares the counter for a round with broadcast set tx. The
 	// counter reads tx (and may retain it until the next Begin) but never
 	// mutates it.
 	Begin(tx *bitset.Set)
-	// Count returns the number of transmitting neighbours of u, capped at
-	// 2 (the channel only distinguishes silence / unique / collision), and
-	// the unique transmitting neighbour when the count is 1 (otherwise the
-	// second value is unspecified).
-	Count(u int32) (count int, from int32)
+	// Word classifies the vertices of word wi (bit b is vertex wi*64+b):
+	// unique has the bits of vertices with exactly one transmitting
+	// neighbour, collided those with two or more. Bits of transmitting
+	// vertices are unspecified (transmitters do not listen; callers mask
+	// them out), and bits at positions >= N are always zero.
+	Word(wi int) (unique, collided uint64)
+	// From returns the transmitting neighbour of u, a non-transmitting
+	// vertex that Word reported unique.
+	From(u int32) int32
+	// Sole returns the one sender that every non-transmitting unique
+	// vertex of the round hears, or -1 when the counter knows no such
+	// sender (callers then ask From per vertex).
+	Sole() int32
 }
 
-// firstTwoSet returns the two lowest set bits of tx (-1 when absent).
-func firstTwoSet(tx *bitset.Set) (a, b int32) {
-	a, b = -1, -1
-	words := tx.Words()
-	lo, hi := tx.NonzeroRange()
-	for wi := lo; wi < hi; wi++ {
-		for w := words[wi]; w != 0; w &= w - 1 {
-			v := int32(wi*64 + bits.TrailingZeros64(w))
-			if a < 0 {
-				a = v
-			} else {
-				return a, v
-			}
-		}
+// wordMask returns the bits of word wi that address vertices in [0, n).
+func wordMask(wi, n int) uint64 {
+	switch rem := n - wi*64; {
+	case rem >= 64:
+		return ^uint64(0)
+	case rem <= 0:
+		return 0
+	default:
+		return 1<<uint(rem) - 1
 	}
-	return a, b
+}
+
+// bitRange returns the bits [a, b) of a word, 0 <= a < b <= 64.
+func bitRange(a, b int) uint64 {
+	return ^uint64(0) >> uint(64-(b-a)) << uint(a)
 }
 
 // CompleteModel describes the complete graph on N vertices.
@@ -89,42 +97,37 @@ func (m CompleteModel) Eccentricity(v int) int {
 	}
 	return 1
 }
-func (m CompleteModel) NewTxCounter() TxCounter { return &completeCounter{} }
+func (m CompleteModel) NewTxCounter() TxCounter { return &completeCounter{n: m.Nodes} }
 
-// completeCounter: every other vertex is a neighbour, so the count is the
-// round's broadcaster total minus u's own bit — O(1) per listener after an
-// O(n/64) popcount in Begin.
+// completeCounter: every other vertex is a neighbour, so a listener hears
+// the round's broadcaster total — the same answer for every listener, one
+// O(n/64) popcount in Begin and O(1) per word after it.
 type completeCounter struct {
-	tx    *bitset.Set
-	total int
-	a, b  int32 // two lowest broadcasters, for unique-sender recovery
+	n     int
+	total int   // broadcasters this round
+	sole  int32 // the broadcaster when total == 1, else -1
 }
 
 func (c *completeCounter) Begin(tx *bitset.Set) {
-	c.tx = tx
 	c.total = tx.Count()
-	c.a, c.b = -1, -1
-	if c.total <= 2 {
-		c.a, c.b = firstTwoSet(tx)
+	c.sole = -1
+	if c.total == 1 {
+		c.sole = int32(tx.Next(0))
 	}
 }
 
-func (c *completeCounter) Count(u int32) (int, int32) {
-	n := c.total
-	if c.tx.Test(int(u)) {
-		n--
-	}
+func (c *completeCounter) Word(wi int) (unique, collided uint64) {
 	switch {
-	case n <= 0:
-		return 0, -1
-	case n == 1:
-		if c.a != u {
-			return 1, c.a
-		}
-		return 1, c.b
+	case c.total == 1:
+		return wordMask(wi, c.n), 0
+	case c.total >= 2:
+		return 0, wordMask(wi, c.n)
 	}
-	return 2, -1
+	return 0, 0
 }
+
+func (c *completeCounter) From(u int32) int32 { return c.sole }
+func (c *completeCounter) Sole() int32        { return c.sole }
 
 // StarModel describes the star: hub 0 adjacent to Leaves leaves.
 type StarModel struct{ Leaves int }
@@ -144,43 +147,61 @@ func (m StarModel) Eccentricity(v int) int {
 	}
 	return 2
 }
-func (m StarModel) NewTxCounter() TxCounter { return &starCounter{} }
+func (m StarModel) NewTxCounter() TxCounter { return &starCounter{n: m.Leaves + 1} }
 
+// starCounter: a leaf hears the hub alone; the hub hears the leaf total.
 type starCounter struct {
+	n         int
 	hubTx     bool
 	leafTotal int
-	leafFirst int32
+	leafFirst int32 // lowest broadcasting leaf, -1 when none
 }
 
 func (c *starCounter) Begin(tx *bitset.Set) {
 	c.hubTx = tx.Test(0)
-	total := tx.Count()
-	c.leafTotal = total
+	c.leafTotal = tx.Count()
 	if c.hubTx {
 		c.leafTotal--
 	}
 	c.leafFirst = -1
 	if c.leafTotal >= 1 {
-		a, b := firstTwoSet(tx)
-		if a == 0 {
-			a = b
-		}
-		c.leafFirst = a
+		c.leafFirst = int32(tx.Next(1))
 	}
 }
 
-func (c *starCounter) Count(u int32) (int, int32) {
-	if u == 0 {
-		n := c.leafTotal
-		if n > 2 {
-			n = 2
-		}
-		return n, c.leafFirst
-	}
+func (c *starCounter) Word(wi int) (unique, collided uint64) {
 	if c.hubTx {
-		return 1, 0
+		unique = wordMask(wi, c.n)
 	}
-	return 0, -1
+	if wi == 0 {
+		unique &^= 1 // the hub hears the leaves, not itself
+		switch {
+		case c.leafTotal == 1:
+			unique |= 1
+		case c.leafTotal >= 2:
+			collided = 1
+		}
+	}
+	return unique, collided
+}
+
+func (c *starCounter) From(u int32) int32 {
+	if u == 0 {
+		return c.leafFirst
+	}
+	return 0
+}
+
+// Sole: with the hub broadcasting only leaves listen, and all hear the
+// hub; otherwise only the hub can hear, from the single broadcasting leaf.
+func (c *starCounter) Sole() int32 {
+	if c.hubTx {
+		return 0
+	}
+	if c.leafTotal == 1 {
+		return c.leafFirst
+	}
+	return -1
 }
 
 // PathModel describes the path 0—1—…—N-1.
@@ -203,6 +224,8 @@ func (m PathModel) Eccentricity(v int) int {
 }
 func (m PathModel) NewTxCounter() TxCounter { return &pathCounter{n: m.Nodes} }
 
+// pathCounter: a word's left and right neighbours are the broadcast set
+// shifted by one either way.
 type pathCounter struct {
 	n  int
 	tx *bitset.Set
@@ -210,16 +233,21 @@ type pathCounter struct {
 
 func (c *pathCounter) Begin(tx *bitset.Set) { c.tx = tx }
 
-func (c *pathCounter) Count(u int32) (int, int32) {
-	count, from := 0, int32(-1)
-	if u > 0 && c.tx.Test(int(u)-1) {
-		count, from = 1, u-1
-	}
-	if int(u)+1 < c.n && c.tx.Test(int(u)+1) {
-		count, from = count+1, u+1
-	}
-	return count, from
+func (c *pathCounter) Word(wi int) (unique, collided uint64) {
+	s := wi * 64
+	l, r := c.tx.Window(s-1), c.tx.Window(s+1)
+	valid := wordMask(wi, c.n)
+	return (l ^ r) & valid, l & r & valid
 }
+
+func (c *pathCounter) From(u int32) int32 {
+	if u > 0 && c.tx.Test(int(u)-1) {
+		return u - 1
+	}
+	return u + 1
+}
+
+func (c *pathCounter) Sole() int32 { return -1 }
 
 // CycleModel describes the cycle on N >= 3 vertices.
 type CycleModel struct{ Nodes int }
@@ -237,6 +265,7 @@ func (m CycleModel) Edges() int64            { return int64(m.Nodes) }
 func (m CycleModel) Eccentricity(v int) int  { return m.Nodes / 2 }
 func (m CycleModel) NewTxCounter() TxCounter { return &cycleCounter{n: m.Nodes} }
 
+// cycleCounter is pathCounter plus the wrap-around edge {n-1, 0}.
 type cycleCounter struct {
 	n  int
 	tx *bitset.Set
@@ -244,22 +273,27 @@ type cycleCounter struct {
 
 func (c *cycleCounter) Begin(tx *bitset.Set) { c.tx = tx }
 
-func (c *cycleCounter) Count(u int32) (int, int32) {
-	l := (int(u) + c.n - 1) % c.n
-	r := (int(u) + 1) % c.n
-	count, from := 0, int32(-1)
-	// Ascending neighbour order, as a sorted CSR row would visit them.
-	if l > r {
-		l, r = r, l
+func (c *cycleCounter) Word(wi int) (unique, collided uint64) {
+	s := wi * 64
+	l, r := c.tx.Window(s-1), c.tx.Window(s+1)
+	if wi == 0 && c.tx.Test(c.n-1) {
+		l |= 1 // vertex 0's left neighbour is n-1
 	}
-	if c.tx.Test(l) {
-		count, from = 1, int32(l)
+	if last := c.n - 1; last/64 == wi && c.tx.Test(0) {
+		r |= 1 << uint(last%64) // vertex n-1's right neighbour is 0
 	}
-	if c.tx.Test(r) {
-		count, from = count+1, int32(r)
-	}
-	return count, from
+	valid := wordMask(wi, c.n)
+	return (l ^ r) & valid, l & r & valid
 }
+
+func (c *cycleCounter) From(u int32) int32 {
+	if l := (int(u) + c.n - 1) % c.n; c.tx.Test(l) {
+		return int32(l)
+	}
+	return int32((int(u) + 1) % c.n)
+}
+
+func (c *cycleCounter) Sole() int32 { return -1 }
 
 // GridModel describes the Rows×Cols grid; vertex (r,c) has index r*Cols+c.
 type GridModel struct{ Rows, Cols int }
@@ -302,6 +336,9 @@ func (m GridModel) Eccentricity(v int) int {
 }
 func (m GridModel) NewTxCounter() TxCounter { return &gridCounter{m: m} }
 
+// gridCounter counts a word's four neighbour directions as shifted
+// windows of the broadcast set (±1 with the column edges masked out,
+// ±Cols), folded into a saturating ones/twos pair.
 type gridCounter struct {
 	m  GridModel
 	tx *bitset.Set
@@ -309,28 +346,46 @@ type gridCounter struct {
 
 func (c *gridCounter) Begin(tx *bitset.Set) { c.tx = tx }
 
-func (c *gridCounter) Count(u int32) (int, int32) {
-	rows, cols := c.m.Rows, c.m.Cols
-	r, col := int(u)/cols, int(u)%cols
-	count, from := 0, int32(-1)
-	// Ascending neighbour order: up, left, right, down.
-	if r > 0 && c.tx.Test(int(u)-cols) {
-		count, from = count+1, u-int32(cols)
+// colStarts returns the bits b of a word with (start+b) % cols == 0.
+func colStarts(start, cols int) uint64 {
+	var m uint64
+	for b := (cols - start%cols) % cols; b < 64; b += cols {
+		m |= 1 << uint(b)
 	}
-	if col > 0 && c.tx.Test(int(u)-1) {
-		count, from = count+1, u-1
-	}
-	if col+1 < cols && c.tx.Test(int(u)+1) {
-		count, from = count+1, u+1
-	}
-	if r+1 < rows && c.tx.Test(int(u)+cols) {
-		count, from = count+1, u+int32(cols)
-	}
-	if count > 2 {
-		count = 2
-	}
-	return count, from
+	return m
 }
+
+func (c *gridCounter) Word(wi int) (unique, collided uint64) {
+	s, cols := wi*64, c.m.Cols
+	var ones, twos uint64
+	for _, m := range [4]uint64{
+		c.tx.Window(s - cols),
+		c.tx.Window(s-1) &^ colStarts(s, cols),   // column 0 has no left neighbour
+		c.tx.Window(s+1) &^ colStarts(s+1, cols), // column cols-1 has no right one
+		c.tx.Window(s + cols),
+	} {
+		twos |= ones & m
+		ones |= m
+	}
+	valid := wordMask(wi, c.m.N())
+	return ones &^ twos & valid, twos & valid
+}
+
+func (c *gridCounter) From(u int32) int32 {
+	cols := int32(c.m.Cols)
+	col := u % cols
+	switch {
+	case u >= cols && c.tx.Test(int(u-cols)):
+		return u - cols
+	case col > 0 && c.tx.Test(int(u)-1):
+		return u - 1
+	case col+1 < cols && c.tx.Test(int(u)+1):
+		return u + 1
+	}
+	return u + cols
+}
+
+func (c *gridCounter) Sole() int32 { return -1 }
 
 // HypercubeModel describes the Dim-dimensional hypercube on 2^Dim vertices.
 type HypercubeModel struct{ Dim int }
@@ -346,27 +401,50 @@ func (m HypercubeModel) NewTxCounter() TxCounter {
 	return &hypercubeCounter{dim: m.Dim}
 }
 
+// hypercubeCounter: the neighbours across dimension d are the broadcast
+// words with bit d of the index flipped — an in-word block swap for
+// d < 6, a word swap above.
 type hypercubeCounter struct {
 	dim int
 	tx  *bitset.Set
 }
 
+// swapMasks[d] selects the bits of a word whose index has bit d clear.
+var swapMasks = [6]uint64{
+	0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+	0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF,
+}
+
 func (c *hypercubeCounter) Begin(tx *bitset.Set) { c.tx = tx }
 
-func (c *hypercubeCounter) Count(u int32) (int, int32) {
-	count, from := 0, int32(-1)
+func (c *hypercubeCounter) Word(wi int) (unique, collided uint64) {
+	txw := c.tx.Words()
+	w := txw[wi]
+	var ones, twos uint64
 	for d := 0; d < c.dim; d++ {
-		v := u ^ (1 << d)
-		if c.tx.Test(int(v)) {
-			count++
-			if count > 1 {
-				return 2, -1
-			}
-			from = v
+		var m uint64
+		if d < 6 {
+			sh, k := uint(1)<<uint(d), swapMasks[d]
+			m = (w&k)<<sh | (w>>sh)&k
+		} else {
+			m = txw[wi^(1<<uint(d-6))]
+		}
+		twos |= ones & m
+		ones |= m
+	}
+	return ones &^ twos, twos
+}
+
+func (c *hypercubeCounter) From(u int32) int32 {
+	for d := 0; d < c.dim; d++ {
+		if v := u ^ (1 << uint(d)); c.tx.Test(int(v)) {
+			return v
 		}
 	}
-	return count, from
+	return -1
 }
+
+func (c *hypercubeCounter) Sole() int32 { return -1 }
 
 // LayeredModel describes the layered pipeline: source 0, then Layers
 // layers of Width vertices each, consecutive layers completely connected
@@ -436,7 +514,7 @@ func (m LayeredModel) NewTxCounter() TxCounter {
 
 // layeredCounter aggregates the round's broadcasters per layer in Begin
 // (O(#broadcasters + #layers)); every listener's transmitting neighbours
-// are then the totals of its adjacent layers — O(1) per listener.
+// are then the totals of its adjacent layers — O(1) per layer segment.
 type layeredCounter struct {
 	m     LayeredModel
 	srcTx bool
@@ -469,42 +547,70 @@ func (c *layeredCounter) Begin(tx *bitset.Set) {
 	}
 }
 
-// addLayer folds layer l's broadcaster total into a running (count, from)
-// pair, keeping the count capped at 2.
-func (c *layeredCounter) addLayer(l int, count int, from int32) (int, int32) {
-	switch c.count[l] {
-	case 0:
-		return count, from
-	case 1:
-		if count == 0 {
-			return 1, c.first[l]
-		}
-	}
-	return 2, -1
-}
-
-func (c *layeredCounter) Count(u int32) (int, int32) {
-	if u == 0 {
-		if c.m.Layers == 0 {
-			return 0, -1
-		}
-		n := c.count[0]
-		return int(n), c.first[0]
-	}
-	l := c.m.layerOf(int(u))
-	count, from := 0, int32(-1)
+// heard returns the capped transmitting-neighbour count of a vertex in
+// layer l: the previous layer (the source for layer 0) plus the next.
+func (c *layeredCounter) heard(l int) int32 {
+	var k int32
 	if l == 0 {
 		if c.srcTx {
-			count, from = 1, 0
+			k = 1
 		}
 	} else {
-		count, from = c.addLayer(l-1, count, from)
+		k = c.count[l-1]
 	}
 	if l+1 < c.m.Layers {
-		count, from = c.addLayer(l+1, count, from)
+		k += c.count[l+1]
 	}
-	return count, from
+	return k
 }
+
+// Word walks the layer segments that fall inside the word: every vertex
+// of a segment hears the same counts.
+func (c *layeredCounter) Word(wi int) (unique, collided uint64) {
+	s := wi * 64
+	end := min(s+64, c.m.N())
+	v := s
+	if v == 0 {
+		if c.m.Layers > 0 {
+			switch c.count[0] {
+			case 1:
+				unique = 1
+			case 2:
+				collided = 1
+			}
+		}
+		v = 1
+	}
+	for v < end {
+		l := c.m.layerOf(v)
+		segEnd := min(1+(l+1)*c.m.Width, end)
+		switch m := bitRange(v-s, segEnd-s); c.heard(l) {
+		case 0:
+		case 1:
+			unique |= m
+		default:
+			collided |= m
+		}
+		v = segEnd
+	}
+	return unique, collided
+}
+
+func (c *layeredCounter) From(u int32) int32 {
+	if u == 0 {
+		return c.first[0]
+	}
+	l := c.m.layerOf(int(u))
+	switch {
+	case l == 0 && c.srcTx:
+		return 0
+	case l > 0 && c.count[l-1] > 0:
+		return c.first[l-1]
+	}
+	return c.first[l+1]
+}
+
+func (c *layeredCounter) Sole() int32 { return -1 }
 
 // NewImplicit builds a Graph whose adjacency exists only in closed form:
 // no CSR arrays, no bit matrix — per-node state is O(1). Such a graph

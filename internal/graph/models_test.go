@@ -101,45 +101,105 @@ func TestModelMatchesExplicit(t *testing.T) {
 	}
 }
 
+// counterCases are the oracle sizes for the word-level counters: word
+// edges (n = 63/64/65/130), the star's hub/leaf split on one and on more
+// than one word, cycle wrap-around inside and across words, grids whose
+// rows straddle words in every way, the hypercube's in-word (d < 6) and
+// cross-word (d >= 6) dimensions, and layer segments narrower than, equal
+// to and wider than a word.
+func counterCases() []Topology {
+	var tops []Topology
+	for _, n := range []int{63, 64, 65, 130} {
+		tops = append(tops, Complete(n), Path(n))
+	}
+	tops = append(tops, Star(1), Star(64))
+	for _, n := range []int{3, 64, 65} {
+		tops = append(tops, Cycle(n))
+	}
+	tops = append(tops, Grid(7, 9), Grid(1, 70), Grid(65, 3))
+	for dim := 1; dim <= 8; dim++ {
+		tops = append(tops, Hypercube(dim))
+	}
+	return append(tops, Layered(4, 8), Layered(3, 64), Layered(2, 100))
+}
+
 // TestTxCounterMatchesBruteForce drives each model's TxCounter with random
-// broadcast sets and checks count/from against a direct scan of the
-// explicit neighbour lists.
+// broadcast sets and checks Word, From and Sole against a direct scan of
+// the explicit neighbour lists: every listener's unique/collided bits and
+// unique sender, Sole agreeing with every unique listener's sender, and
+// no bits at or past N.
 func TestTxCounterMatchesBruteForce(t *testing.T) {
-	for _, tc := range modelCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			eg := tc.explicit.G
-			n := eg.N()
-			counter := eg.NeighborModel().NewTxCounter()
+	for _, top := range counterCases() {
+		t.Run(top.Name, func(t *testing.T) {
+			g := top.G
+			n := g.N()
+			counter := g.NeighborModel().NewTxCounter()
+			// Complete and star graphs promise Sole whenever one sender
+			// serves every unique listener: the implicit engine's bulk
+			// credit path depends on it.
+			_, isComplete := g.NeighborModel().(CompleteModel)
+			_, isStar := g.NeighborModel().(StarModel)
+			promisesSole := isComplete || isStar
 			r := rng.New(0xC0FFEE)
 			tx := bitset.New(n)
 			for round := 0; round < 200; round++ {
 				tx.Reset()
-				// Sweep densities from empty through saturated.
-				p := float64(round%11) / 10
-				for v := 0; v < n; v++ {
-					if r.Bool(p) {
-						tx.Set(v)
+				switch round % 12 {
+				case 0:
+					tx.Set(r.Intn(n)) // one broadcaster: every answer is "unique"
+				case 1:
+					tx.Set(0) // the source / hub alone
+				default:
+					// Sweep densities from empty through saturated.
+					p := float64(round%12-2) / 9
+					for v := 0; v < n; v++ {
+						if r.Bool(p) {
+							tx.Set(v)
+						}
 					}
 				}
 				counter.Begin(tx)
-				for u := 0; u < n; u++ {
-					wantCount, wantFrom := 0, int32(-1)
-					for _, v := range eg.Neighbors(u) {
-						if tx.Test(int(v)) {
-							wantCount++
-							wantFrom = v
+				sole := counter.Sole()
+				senders := map[int32]bool{}
+				for wi := 0; wi < len(tx.Words()); wi++ {
+					unique, collided := counter.Word(wi)
+					for b := 0; b < 64; b++ {
+						u := wi*64 + b
+						gotUnique, gotCollided := unique>>uint(b)&1 == 1, collided>>uint(b)&1 == 1
+						if u >= n {
+							if gotUnique || gotCollided {
+								t.Fatalf("round %d word %d: bit %d past n=%d set", round, wi, b, n)
+							}
+							continue
 						}
+						if tx.Test(u) {
+							continue // transmitters do not listen
+						}
+						count, from := 0, int32(-1)
+						for _, v := range g.Neighbors(u) {
+							if tx.Test(int(v)) {
+								count++
+								from = v
+							}
+						}
+						if gotUnique != (count == 1) || gotCollided != (count >= 2) {
+							t.Fatalf("round %d u=%d: unique=%v collided=%v, want %d transmitting neighbours (tx=%v)",
+								round, u, gotUnique, gotCollided, count, tx.Elements())
+						}
+						if count != 1 {
+							continue
+						}
+						if got := counter.From(int32(u)); got != from {
+							t.Fatalf("round %d u=%d: From %d, want %d (tx=%v)", round, u, got, from, tx.Elements())
+						}
+						if sole >= 0 && sole != from {
+							t.Fatalf("round %d u=%d: Sole %d, but the sender is %d (tx=%v)", round, u, sole, from, tx.Elements())
+						}
+						senders[from] = true
 					}
-					if wantCount > 2 {
-						wantCount = 2
-					}
-					gotCount, gotFrom := counter.Count(int32(u))
-					if gotCount != wantCount {
-						t.Fatalf("round %d u=%d: count %d, want %d (tx=%v)", round, u, gotCount, wantCount, tx.Elements())
-					}
-					if wantCount == 1 && gotFrom != wantFrom {
-						t.Fatalf("round %d u=%d: from %d, want %d (tx=%v)", round, u, gotFrom, wantFrom, tx.Elements())
-					}
+				}
+				if promisesSole && len(senders) == 1 && sole < 0 {
+					t.Fatalf("round %d: one sender %v serves every unique listener, Sole = -1 (tx=%v)", round, senders, tx.Elements())
 				}
 			}
 		})

@@ -28,8 +28,8 @@ const MaxBatchWidth = 64
 // the dominant row-traversal cost is paid once per round instead of once
 // per trial. The sparse and implicit engines execute the lanes
 // sequentially within the round (their per-lane cost has no shared
-// traversal to amortise: O(Σ deg(broadcaster)) for sparse, O(n)
-// closed-form resolution for implicit) — batching is then purely a
+// traversal to amortise: O(Σ deg(broadcaster)) for sparse, O(n/64)
+// closed-form words for implicit) — batching is then purely a
 // scheduling convenience with identical results.
 //
 // Lanes may finish at different times: StepBatch takes an active-lane
@@ -67,10 +67,7 @@ type BatchNetwork[P any] struct {
 	noisySites [][]int32
 
 	// Dense-engine state, shared across lanes (the adjacency is).
-	adjBits      *bitset.Matrix
-	adjWords     []uint64
-	adjStride    int
-	rowLo, rowHi []int32
+	denseAdjacency
 
 	// Sparse-engine per-round scratch, reused across lanes within a round
 	// (each lane's resolve pass leaves it clean for the next lane).
@@ -147,10 +144,7 @@ func NewBatch[P any](g *graph.Graph, cfg Config, rnds []*rng.Stream) (*BatchNetw
 	}
 	switch engine {
 	case Dense:
-		b.adjBits = g.AdjacencyBits()
-		b.adjWords = b.adjBits.Words()
-		b.adjStride = b.adjBits.Stride()
-		b.rowLo, b.rowHi = b.adjBits.RowRanges()
+		b.denseAdjacency = newDenseAdjacency(g)
 		b.hit = make([]uint64, w)
 		b.hitBase = make([]int32, w)
 		b.anyTx = make([]uint64, b.adjStride)
@@ -197,6 +191,27 @@ func (b *BatchNetwork[P]) Reset(rnds []*rng.Stream) {
 	}
 	for l := range b.noisySites {
 		b.noisySites[l] = b.noisySites[l][:0]
+	}
+}
+
+// detach and attach are Network.detach and Network.attach for every
+// lane.
+func (b *BatchNetwork[P]) detach() {
+	b.g, b.denseAdjacency = nil, denseAdjacency{}
+	for l := range b.draws {
+		b.draws[l].g = nil
+	}
+}
+
+func (b *BatchNetwork[P]) attach(g *graph.Graph) {
+	b.g = g
+	for l := range b.draws {
+		if b.draws[l].mode == drawJam {
+			b.draws[l].g = g
+		}
+	}
+	if b.engine == Dense {
+		b.denseAdjacency = newDenseAdjacency(g)
 	}
 }
 
@@ -400,13 +415,13 @@ func (b *BatchNetwork[P]) stepBatchSparse(tx *bitset.Block, payloads [][]P, rx *
 // stepBatchImplicit executes the round lane by lane on the closed-form
 // engine: each lane's broadcast column is unpacked into the scratch Set
 // and the lane runs the scalar implicit round verbatim (mark
-// broadcasters, Begin the counter, resolve every listener in ascending
-// id). There is no shared traversal to amortise — per-lane cost is O(n)
-// regardless — so, as for sparse, batching here is purely a scheduling
-// convenience with identical results. Lane order is ascending, observable
-// only through the deliver callback.
+// broadcasters, Begin the counter, walk the lane's words with
+// implicitWalk). There is no shared traversal to amortise — per-lane
+// cost is O(n/64) words regardless — so, as for sparse, batching here is
+// purely a scheduling convenience with identical results. Lane order is
+// ascending, observable only through the deliver callback.
 func (b *BatchNetwork[P]) stepBatchImplicit(tx *bitset.Block, payloads [][]P, rx *bitset.Block, act uint64, deliver func(lane int, d Delivery[P])) {
-	nn := b.g.N()
+	bulk := deliver == nil && b.cfg.Fault != ReceiverFaults
 	for m := act; m != 0; m &= m - 1 {
 		l := bits.TrailingZeros64(m)
 		if lo, hi := tx.LaneNonzeroRange(l); lo == hi {
@@ -421,18 +436,21 @@ func (b *BatchNetwork[P]) stepBatchImplicit(tx *bitset.Block, payloads [][]P, rx
 			}
 		}
 		b.counter.Begin(b.laneTx)
-		for u := 0; u < nn; u++ {
-			if txw[u>>6]&(1<<(uint(u)&63)) != 0 {
-				continue // transmitting nodes do not listen
+		w := newImplicitWalk(b.counter, txw, bulk)
+		for w.next() {
+			if !w.whole {
+				b.resolveUnique(l, w.u, w.from, payloads, rx, deliver)
+				continue
 			}
-			count, from := b.counter.Count(int32(u))
-			switch {
-			case count > 1:
-				b.stats[l].Collisions++
-			case count == 1:
-				b.resolveUnique(l, int32(u), from, payloads, rx, deliver)
+			if b.cfg.Fault == SenderFaults && b.senderNoise[l][w.from] {
+				continue // content destroyed at the sender
+			}
+			b.stats[l].Deliveries += int64(bits.OnesCount64(w.unique))
+			if rx != nil {
+				rx.OrLaneWord(l, w.wi, w.unique)
 			}
 		}
+		b.stats[l].Collisions += w.collisions
 	}
 }
 

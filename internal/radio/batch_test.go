@@ -79,10 +79,31 @@ func executeBatchLanes(t testing.TB, g *graph.Graph, cfg Config, eng Engine, see
 	return executeBatchOn(t, net, rnds, roundsFor, schedule)
 }
 
+// executeBatchLanesRxOnly is executeBatchLanes with no deliver callback:
+// lanes report receivers through rx alone, which lets engines credit them
+// in bulk. Its executions have no deliveries.
+func executeBatchLanesRxOnly(t testing.TB, g *graph.Graph, cfg Config, eng Engine, seed uint64, w int, roundsFor func(lane int) int, schedule func(lane, round, v int) bool) []batchExecution {
+	t.Helper()
+	cfg.Engine = eng
+	rnds := make([]*rng.Stream, w)
+	for l := range rnds {
+		rnds[l] = rng.NewFrom(seed, uint64(l))
+	}
+	return executeBatch(t, MustNewBatch[int32](g, cfg, rnds), rnds, roundsFor, schedule, false)
+}
+
 // executeBatchOn is executeBatchLanes' recording loop over an existing
 // batch network whose lanes draw from rnds, so a Reset network can be
 // driven exactly like a fresh one.
 func executeBatchOn(t testing.TB, net *BatchNetwork[int32], rnds []*rng.Stream, roundsFor func(lane int) int, schedule func(lane, round, v int) bool) []batchExecution {
+	t.Helper()
+	return executeBatch(t, net, rnds, roundsFor, schedule, true)
+}
+
+// executeBatch is the recording loop behind executeBatchOn and
+// executeBatchLanesRxOnly; withDeliver selects whether StepBatch gets a
+// deliver callback.
+func executeBatch(t testing.TB, net *BatchNetwork[int32], rnds []*rng.Stream, roundsFor func(lane int) int, schedule func(lane, round, v int) bool, withDeliver bool) []batchExecution {
 	t.Helper()
 	w := len(rnds)
 	n := net.Graph().N()
@@ -115,9 +136,13 @@ func executeBatchOn(t testing.TB, net *BatchNetwork[int32], rnds []*rng.Stream, 
 			}
 		}
 		txBefore := append([]uint64(nil), tx.Words()...)
-		net.StepBatch(tx, payloads, rx, act, func(lane int, d Delivery[int32]) {
-			deliveries = append(deliveries, laneDelivery{lane: lane, d: d})
-		})
+		var deliver func(lane int, d Delivery[int32])
+		if withDeliver {
+			deliver = func(lane int, d Delivery[int32]) {
+				deliveries = append(deliveries, laneDelivery{lane: lane, d: d})
+			}
+		}
+		net.StepBatch(tx, payloads, rx, act, deliver)
 		for i, word := range tx.Words() {
 			if word != txBefore[i] {
 				t.Fatalf("round %d: StepBatch mutated the caller's tx block", round)

@@ -22,11 +22,19 @@ type stepMode int
 const (
 	viaStep    stepMode = iota // Step([]bool, ...) adapter
 	viaStepSet                 // StepSet(tx, payload, rx, deliver)
+	// viaRxOnly is StepSet with rx and nothing else: no deliver callback
+	// and no trace, the configuration single-message runners use and the
+	// only one in which engines may credit receivers in bulk. It records
+	// rx bits and Stats only.
+	viaRxOnly
 )
 
 func (m stepMode) String() string {
-	if m == viaStepSet {
+	switch m {
+	case viaStepSet:
 		return "stepset"
+	case viaRxOnly:
+		return "rx-only"
 	}
 	return "step"
 }
@@ -43,6 +51,14 @@ type execution struct {
 	deliveries []Delivery[int32]
 	stats      Stats
 	traces     []traceRecord
+	receivers  [][]int // each round's receivers, ascending
+}
+
+// withoutCallbacks strips what an rx-only run cannot observe (deliveries
+// and traces), so it compares against a full reference execution.
+func withoutCallbacks(ex execution) execution {
+	ex.deliveries, ex.traces = nil, nil
+	return ex
 }
 
 // executeEngine runs rounds broadcast rounds on g under cfg with the given
@@ -51,7 +67,8 @@ type execution struct {
 // deterministic schedule function yields identical inputs for every
 // (engine, mode) combination. In StepSet mode the harness additionally
 // checks, every round, that the rx bitset exactly matches the delivered
-// receivers and that the engine left the caller's tx set untouched.
+// receivers and that the engine left the caller's tx set untouched; in
+// rx-only mode it checks the tx set and records the rx bits.
 func executeEngine(t testing.TB, g *graph.Graph, cfg Config, eng Engine, mode stepMode, netSeed uint64, rounds int, schedule func(round, v int) bool) execution {
 	t.Helper()
 	cfg.Engine = eng
@@ -78,6 +95,9 @@ func executeOn(t testing.TB, net *Network[int32], mode stepMode, rounds int, sch
 			rx:    append([]int32(nil), receivers...),
 		})
 	})
+	if mode == viaRxOnly {
+		net.SetTrace(nil)
+	}
 	n := g.N()
 	bc := make([]bool, n)
 	payload := make([]int32, n)
@@ -89,16 +109,29 @@ func executeOn(t testing.TB, net *Network[int32], mode stepMode, rounds int, sch
 			bc[v] = schedule(round, v)
 			payload[v] = int32(round*n + v)
 		}
+		rxWant.Reset()
 		switch mode {
 		case viaStep:
 			net.Step(bc, payload, func(d Delivery[int32]) {
 				ex.deliveries = append(ex.deliveries, d)
+				rxWant.Set(d.To)
 			})
+			ex.receivers = append(ex.receivers, rxWant.Elements())
+		case viaRxOnly:
+			tx.FromBools(bc)
+			txBefore := tx.Clone()
+			rx.Reset()
+			net.StepSet(tx, payload, rx, nil)
+			for w, word := range tx.Words() {
+				if word != txBefore.Words()[w] {
+					t.Fatalf("round %d: StepSet mutated the caller's tx set", round)
+				}
+			}
+			ex.receivers = append(ex.receivers, rx.Elements())
 		case viaStepSet:
 			tx.FromBools(bc)
 			txBefore := tx.Clone()
 			rx.Reset()
-			rxWant.Reset()
 			net.StepSet(tx, payload, rx, func(d Delivery[int32]) {
 				ex.deliveries = append(ex.deliveries, d)
 				rxWant.Set(d.To)
@@ -113,6 +146,7 @@ func executeOn(t testing.TB, net *Network[int32], mode stepMode, rounds int, sch
 					t.Fatalf("round %d: rx bitset %v != delivered receivers %v", round, rx, rxWant)
 				}
 			}
+			ex.receivers = append(ex.receivers, rx.Elements())
 		}
 	}
 	ex.stats = net.Stats()
@@ -142,8 +176,8 @@ func runEngine(t *testing.T, g *graph.Graph, cfg Config, eng Engine, mode stepMo
 	})
 }
 
-// requireIdentical fails unless got matches want in stats, deliveries and
-// traces; name labels the diverging combination.
+// requireIdentical fails unless got matches want in stats, deliveries,
+// traces and per-round receivers; name labels the diverging combination.
 func requireIdentical(t *testing.T, name string, want, got execution) {
 	t.Helper()
 	if want.stats != got.stats {
@@ -154,6 +188,9 @@ func requireIdentical(t *testing.T, name string, want, got execution) {
 	}
 	if !reflect.DeepEqual(want.traces, got.traces) {
 		t.Fatalf("%s: traces diverged", name)
+	}
+	if !reflect.DeepEqual(want.receivers, got.receivers) {
+		t.Fatalf("%s: per-round receivers diverged", name)
 	}
 }
 

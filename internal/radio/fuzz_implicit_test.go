@@ -41,7 +41,8 @@ func fuzzModelTopology(kindRaw, sizeRaw uint64) (explicit, implicit graph.Topolo
 // an arbitrary modelled topology, fault environment and broadcast
 // schedule, the implicit engine — over the explicit CSR graph and over
 // the CSR-less implicit twin — must reproduce the sparse reference bit
-// for bit through both entry points. The modelled-topology counterpart of
+// for bit through every entry point, rx-only StepSet (the bulk credit
+// path) included. The modelled-topology counterpart of
 // FuzzStepEngines (whose arbitrary edge lists carry no model).
 func FuzzStepImplicit(f *testing.F) {
 	f.Add(uint64(1), uint64(0), uint64(40), uint64(0), uint64(0), []byte{0xff, 0x0f})
@@ -75,17 +76,24 @@ func FuzzStepImplicit(f *testing.F) {
 		}
 		ref := executeEngine(t, explicit.G, cfg, Sparse, viaStepSet, seed, rounds, schedule)
 		for _, g := range []*graph.Graph{explicit.G, implicit.G} {
-			for _, mode := range []stepMode{viaStep, viaStepSet} {
+			for _, mode := range []stepMode{viaStep, viaStepSet, viaRxOnly} {
+				want := ref
+				if mode == viaRxOnly {
+					want = withoutCallbacks(ref)
+				}
 				got := executeEngine(t, g, cfg, Implicit, mode, seed, rounds, schedule)
-				if ref.stats != got.stats {
+				if want.stats != got.stats {
 					t.Fatalf("implicit/%v (csr=%v): stats diverged\nref %+v\ngot %+v", mode, g.HasCSR(), ref.stats, got.stats)
 				}
-				if !reflect.DeepEqual(ref.deliveries, got.deliveries) {
+				if !reflect.DeepEqual(want.deliveries, got.deliveries) {
 					t.Fatalf("implicit/%v (csr=%v): deliveries diverged: %d vs %d events",
 						mode, g.HasCSR(), len(ref.deliveries), len(got.deliveries))
 				}
-				if !reflect.DeepEqual(ref.traces, got.traces) {
+				if !reflect.DeepEqual(want.traces, got.traces) {
 					t.Fatalf("implicit/%v (csr=%v): traces diverged", mode, g.HasCSR())
+				}
+				if !reflect.DeepEqual(want.receivers, got.receivers) {
+					t.Fatalf("implicit/%v (csr=%v): per-round receivers diverged", mode, g.HasCSR())
 				}
 			}
 		}

@@ -36,19 +36,24 @@ func implicitPairs() []implicitPair {
 
 // TestDifferentialImplicitAcrossTopologies proves the implicit engine
 // bit-identical to the sparse reference on every modelled topology and in
-// both storage modes, across the fault environments and both entry
-// points.
+// both storage modes, across the fault environments (faultless, sender
+// and receiver faults, draw contracts v1–v4) and every entry point —
+// including rx-only StepSet, where whole words may be credited in bulk.
 func TestDifferentialImplicitAcrossTopologies(t *testing.T) {
 	for _, pair := range implicitPairs() {
 		for _, cfg := range diffConfigs(pair.explicit.G.N()) {
 			for _, txProb := range []float64{0.05, 0.3, 0.8} {
 				ref := runEngine(t, pair.explicit.G, cfg, Sparse, viaStepSet, 42, 77, 60, txProb)
-				for _, mode := range []stepMode{viaStep, viaStepSet} {
-					name := fmt.Sprintf("%s/%s/implicit/%v txProb=%v", pair.name, cfg.Fault, mode, txProb)
+				for _, mode := range []stepMode{viaStep, viaStepSet, viaRxOnly} {
+					want := ref
+					if mode == viaRxOnly {
+						want = withoutCallbacks(ref)
+					}
+					name := fmt.Sprintf("%s/%s/draw %v/implicit/%v txProb=%v", pair.name, cfg.Fault, cfg.Draw, mode, txProb)
 					got := runEngine(t, pair.explicit.G, cfg, Implicit, mode, 42, 77, 60, txProb)
-					requireIdentical(t, name, ref, got)
+					requireIdentical(t, name, want, got)
 					got = runEngine(t, pair.implicit.G, cfg, Implicit, mode, 42, 77, 60, txProb)
-					requireIdentical(t, name+" (implicit graph)", ref, got)
+					requireIdentical(t, name+" (implicit graph)", want, got)
 				}
 			}
 		}
@@ -57,7 +62,8 @@ func TestDifferentialImplicitAcrossTopologies(t *testing.T) {
 
 // TestImplicitBatchMatchesScalar is the batch-plane counterpart: every
 // lane of an implicit StepBatch run — including early-deactivating lanes
-// — reproduces its scalar trial draw for draw, on both storage modes.
+// — reproduces its scalar trial draw for draw, on both storage modes, with
+// a deliver callback and rx-only (the bulk credit path).
 func TestImplicitBatchMatchesScalar(t *testing.T) {
 	for _, pair := range implicitPairs() {
 		for _, cfg := range diffConfigs(pair.explicit.G.N()) {
@@ -67,10 +73,13 @@ func TestImplicitBatchMatchesScalar(t *testing.T) {
 				sched := batchSchedule(77, 0.25)
 				for _, g := range []*graph.Graph{pair.explicit.G, pair.implicit.G} {
 					got := executeBatchLanes(t, g, cfg, Implicit, 42, w, roundsFor, sched)
+					rxOnly := executeBatchLanesRxOnly(t, g, cfg, Implicit, 42, w, roundsFor, sched)
 					for l := 0; l < w; l++ {
-						name := fmt.Sprintf("%s/%s/implicit/w=%d/lane=%d (csr=%v)", pair.name, cfg.Fault, w, l, g.HasCSR())
+						name := fmt.Sprintf("%s/%s/draw %v/implicit/w=%d/lane=%d (csr=%v)", pair.name, cfg.Fault, cfg.Draw, w, l, g.HasCSR())
 						want := executeScalarLane(t, pair.explicit.G, cfg, Sparse, 42, l, roundsFor(l), sched)
 						requireLaneIdentical(t, name, want, got[l])
+						want.deliveries = nil
+						requireLaneIdentical(t, name+" rx-only", want, rxOnly[l])
 					}
 				}
 			}
@@ -125,7 +134,8 @@ func TestAutoUpgradesDenseToImplicit(t *testing.T) {
 		t.Errorf("Complete(512): auto = %v, want %v", got, Dense)
 	}
 	// Modelled but sparse-leaning topologies stay sparse at any size:
-	// O(Σ deg) per round beats the implicit engine's O(n).
+	// O(Σ deg) per round beats the implicit engine's O(n/64) words plus
+	// per-listener resolutions.
 	if got := auto.ResolveEngine(graph.Path(8192).G); got != Sparse {
 		t.Errorf("Path(8192): auto = %v, want %v", got, Sparse)
 	}

@@ -26,7 +26,8 @@ import (
 // Two sparse families at n = 4096 cover large touched sets: a star whose
 // hub broadcasts alongside n/16 leaves (every node touched), and sparse
 // GNP (mean degree 8) with n/8 broadcasters (about two thirds of the
-// nodes touched).
+// nodes touched). Four implicit rows at n = 16384 cover the word-level
+// closed-form resolve at the sweep service's job sizes.
 //
 // One extra row per n quantifies the fast path against its compatibility
 // layer on the dense engine: "step" drives the identical round through the
@@ -102,6 +103,30 @@ func EngineMicrobench() []benchreport.Microbench {
 			ns, allocs := measureRounds(m.top, cfg, m.tx, stepModeSet)
 			out = append(out, benchreport.Microbench{
 				Name:           fmt.Sprintf("stepset/%s/%s/n=%d", m.name, fault, sparseN),
+				NsPerRound:     ns,
+				AllocsPerRound: allocs,
+			})
+		}
+	}
+	// Implicit rows at the service's job sizes, on the two rounds that
+	// dominate Decay there: a complete graph with one broadcaster (every
+	// listener unique, from one sender) and a star whose hub broadcasts
+	// alongside n/16 leaves (the hub collided, every other leaf unique
+	// from the hub). Under sender faults both credit whole words; under
+	// receiver faults every unique listener draws its own coin.
+	const implicitN = 16384
+	for _, m := range []struct {
+		top  graph.Topology
+		tx   *bitset.Set
+		name string
+	}{
+		{graph.ImplicitComplete(implicitN), microbenchTx(implicitN, implicitN/2, 1), "implicit/complete"},
+		{graph.ImplicitStar(implicitN - 1), microbenchTx(implicitN, 0, implicitN/16), "implicit/star"},
+	} {
+		for _, fault := range []FaultModel{SenderFaults, ReceiverFaults} {
+			ns, allocs := measureRounds(m.top, Config{Fault: fault, P: 0.3}, m.tx, stepModeSet)
+			out = append(out, benchreport.Microbench{
+				Name:           fmt.Sprintf("stepset/%s/%s/n=%d", m.name, fault, implicitN),
 				NsPerRound:     ns,
 				AllocsPerRound: allocs,
 			})

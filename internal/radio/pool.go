@@ -1,7 +1,9 @@
 package radio
 
 import (
+	"runtime"
 	"sync"
+	"weak"
 
 	"noisyradio/internal/graph"
 	"noisyradio/internal/rng"
@@ -13,9 +15,10 @@ import (
 // scalar networks — a scalar checkout must never be handed batch-sized
 // scratch, and vice versa, so the width is part of the key exactly like
 // the graph is). Configs with per-node fault probabilities are not pooled
-// (the slice is not comparable and the case is rare).
+// (the slice is not comparable and the case is rare). The graph is held
+// weakly: an idle pooled network never keeps its graph alive.
 type poolKey struct {
-	g      *graph.Graph
+	g      weak.Pointer[graph.Graph]
 	fault  FaultModel
 	p      float64
 	engine Engine
@@ -32,7 +35,7 @@ type poolKey struct {
 func makePoolKey(g *graph.Graph, cfg Config, width int) poolKey {
 	burst, jam := cfg.drawParams()
 	return poolKey{
-		g:      g,
+		g:      weak.Make(g),
 		fault:  cfg.Fault,
 		p:      cfg.P,
 		engine: cfg.Engine,
@@ -59,6 +62,12 @@ func makePoolKey(g *graph.Graph, cfg Config, width int) poolKey {
 // for use, and the pool is safe for concurrent use — row-parallel sweeps
 // acquire networks for several distinct graphs at once, which is why the
 // freelist is keyed rather than a single sync.Pool.
+//
+// A stored network holds its graph only weakly (see poolKey, and
+// Network.detach): once nothing else references a graph it is collected,
+// and its stored networks are forgotten. A long run that builds fresh
+// graphs row after row therefore keeps no dead graph, and no dead
+// adjacency matrix, alive.
 type Pool[P any] struct {
 	mu        sync.Mutex
 	free      map[poolKey][]*Network[P]      // width == 0 keys only
@@ -67,14 +76,18 @@ type Pool[P any] struct {
 	// first — the eviction order when the total cap is reached.
 	order []poolKey
 	size  int
+	// watched holds the graphs with a cleanup registered: when one is
+	// collected, forget drops its stored networks.
+	watched map[weak.Pointer[graph.Graph]]bool
 }
 
-// Per-key and total caps bound the memory pinned by idle networks (and the
-// graphs they keep alive). A Put beyond the per-key cap is dropped (the
-// key already has more spares than concurrent trials can use); a Put
-// beyond the total cap evicts the oldest stored network instead, so a
-// long multi-experiment run keeps reusing networks for its *current*
-// graphs rather than pinning dead ones and silently disabling pooling.
+// Per-key and total caps bound the memory pinned by idle networks. A Put
+// beyond the per-key cap is dropped (the key already has more spares than
+// concurrent trials can use); a Put beyond the total cap evicts the
+// oldest stored network instead, so a long multi-experiment run keeps
+// reusing networks for its *current* graphs rather than filling the pool
+// with those of graphs still alive but no longer run, silently disabling
+// pooling.
 // Scalar and batch networks share the caps: both count towards size.
 const (
 	poolKeyCap   = 16
@@ -99,6 +112,7 @@ func (p *Pool[P]) Get(g *graph.Graph, cfg Config, rnd *rng.Stream) (*Network[P],
 			}
 			p.mu.Unlock()
 			n.Reset(rnd)
+			n.attach(g)
 			return n, nil
 		}
 		p.mu.Unlock()
@@ -122,6 +136,7 @@ func (p *Pool[P]) GetBatch(g *graph.Graph, cfg Config, rnds []*rng.Stream) (*Bat
 			}
 			p.mu.Unlock()
 			b.Reset(rnds)
+			b.attach(g)
 			return b, nil
 		}
 		p.mu.Unlock()
@@ -165,6 +180,40 @@ func (p *Pool[P]) evictOldest() {
 	}
 }
 
+// watch registers, once per graph, a cleanup that forgets g's stored
+// networks when g is collected. The caller holds p.mu.
+func (p *Pool[P]) watch(g *graph.Graph, wg weak.Pointer[graph.Graph]) {
+	if p.watched[wg] {
+		return
+	}
+	if p.watched == nil {
+		p.watched = make(map[weak.Pointer[graph.Graph]]bool)
+	}
+	p.watched[wg] = true
+	runtime.AddCleanup(g, p.forget, wg)
+}
+
+// forget drops every stored network of the collected graph behind wg.
+func (p *Pool[P]) forget(wg weak.Pointer[graph.Graph]) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	delete(p.watched, wg)
+	kept := p.order[:0]
+	for _, key := range p.order {
+		switch {
+		case key.g != wg:
+			kept = append(kept, key)
+		case key.width > 0:
+			p.size -= len(p.freeBatch[key])
+			delete(p.freeBatch, key)
+		default:
+			p.size -= len(p.free[key])
+			delete(p.free, key)
+		}
+	}
+	p.order = kept
+}
+
 // Put stores a finished network for reuse. The caller must not use n after
 // Put. Networks with per-node fault probabilities, or arriving when their
 // key is already at the per-key cap, are dropped; at the total cap the
@@ -182,6 +231,8 @@ func (p *Pool[P]) Put(n *Network[P]) {
 	if p.size >= poolTotalCap {
 		p.evictOldest()
 	}
+	p.watch(n.g, key.g)
+	n.detach()
 	if p.free == nil {
 		p.free = make(map[poolKey][]*Network[P])
 	}
@@ -207,6 +258,8 @@ func (p *Pool[P]) PutBatch(b *BatchNetwork[P]) {
 	if p.size >= poolTotalCap {
 		p.evictOldest()
 	}
+	p.watch(b.g, key.g)
+	b.detach()
 	if p.freeBatch == nil {
 		p.freeBatch = make(map[poolKey][]*BatchNetwork[P])
 	}

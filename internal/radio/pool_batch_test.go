@@ -76,8 +76,12 @@ func TestPoolBatchWidthSeparation(t *testing.T) {
 // behaves bit-identically to a freshly constructed one.
 func TestPoolBatchGetEqualsNew(t *testing.T) {
 	top := graph.GNP(64, 0.2, rng.New(5))
-	for _, eng := range []Engine{Sparse, Dense} {
-		cfg := Config{Fault: SenderFaults, P: 0.4, Engine: eng}
+	for _, cfg := range []Config{
+		{Fault: SenderFaults, P: 0.4, Engine: Sparse},
+		{Fault: SenderFaults, P: 0.4, Engine: Dense},
+		{Fault: ReceiverFaults, P: 0.3, Engine: Dense, Draw: DrawV4, Jam: JamParams{Q: 0.5, Radius: 2, Ball: true}},
+	} {
+		eng := cfg.Engine
 		const w = 4
 		sched := batchSchedule(3, 0.3)
 		roundsFor := func(int) int { return 25 }

@@ -2,7 +2,9 @@ package radio
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"noisyradio/internal/graph"
 	"noisyradio/internal/rng"
@@ -42,8 +44,11 @@ func TestPoolGetEqualsNew(t *testing.T) {
 			{Fault: Faultless, Engine: engine},
 			{Fault: SenderFaults, P: 0.4, Engine: engine},
 			{Fault: ReceiverFaults, P: 0.4, Engine: engine},
+			// Ball jamming reads the graph through the draw state, which a
+			// stored network drops and a checkout restores.
+			{Fault: ReceiverFaults, P: 0.3, Engine: engine, Draw: DrawV4, Jam: JamParams{Q: 0.5, Radius: 2, Ball: true}},
 		} {
-			name := fmt.Sprintf("%s/%s", engine, cfg.Fault)
+			name := fmt.Sprintf("%s/%s/%s", engine, cfg.Fault, cfg.Draw)
 			t.Run(name, func(t *testing.T) {
 				fresh, err := New[int32](g, cfg, rng.New(42))
 				if err != nil {
@@ -201,5 +206,40 @@ func TestPoolEvictsOldestAtTotalCap(t *testing.T) {
 		t.Fatal("unexpected pool state")
 	} else if pool.size > poolTotalCap {
 		t.Fatalf("pool overgrew: %d", pool.size)
+	}
+}
+
+// TestPoolDoesNotPinGraphs: a stored network holds its graph weakly, so a
+// graph referenced only by the pool is collected — with its adjacency
+// matrix — and its stored networks are forgotten. A scalar and a batch
+// network over one dense graph are stored, the graph is dropped, and the
+// pool must end up empty.
+func TestPoolDoesNotPinGraphs(t *testing.T) {
+	var pool Pool[int32]
+	collected := make(chan struct{})
+	func() {
+		g := graph.Complete(128).G
+		runtime.AddCleanup(g, func(ch chan struct{}) { close(ch) }, collected)
+		cfg := Config{Fault: SenderFaults, P: 0.2, Engine: Dense, Draw: DrawV4}
+		pool.Put(MustNew[int32](g, cfg, rng.New(1)))
+		pool.PutBatch(MustNewBatch[int32](g, cfg, []*rng.Stream{rng.New(1), rng.New(2)}))
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		runtime.GC()
+		pool.mu.Lock()
+		size, keys := pool.size, len(pool.order)
+		pool.mu.Unlock()
+		select {
+		case <-collected:
+			if size == 0 && keys == 0 {
+				return
+			}
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("graph not collected or its networks not forgotten: size %d, keys %d", size, keys)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

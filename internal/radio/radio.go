@@ -54,10 +54,10 @@
 //     with next-row window prefetch), since each adjacency row is then
 //     ≥ 512 bytes and row misses dominate.
 //   - Implicit answers the transmitting-neighbour query from the
-//     topology's closed form (graph.NeighborModel) — no adjacency is
-//     stored at all, so per-node state is O(1) and complete graphs at
-//     n = 10⁵–10⁶ run in O(n) resident memory, far past the Θ(n²/8)-byte
-//     bit-matrix ceiling of Dense. Available exactly when the graph
+//     topology's closed form (graph.NeighborModel), 64 listeners per
+//     word — no adjacency is stored at all, so per-node state is O(1)
+//     and complete graphs at n = 10⁵–10⁶ run in O(n) resident memory,
+//     far past the Θ(n²/8)-byte bit-matrix ceiling of Dense. Available exactly when the graph
 //     carries a model (Complete, Star, Path, Cycle, Grid, Hypercube,
 //     Layered); the only engine for implicit graphs (graph.NewImplicit).
 //
@@ -155,9 +155,9 @@ const (
 	// on construction (cached on the graph, shared across networks).
 	Dense
 	// Implicit answers the transmitting-neighbour query from the graph's
-	// closed-form neighbourhood model (graph.NeighborModel): O(n) work
-	// per round, O(1) per-node state, no stored adjacency. Requires the
-	// graph to carry a model.
+	// closed-form neighbourhood model (graph.NeighborModel): O(n/64)
+	// words plus O(unique listeners) resolutions per round, O(1) per-node
+	// state, no stored adjacency. Requires the graph to carry a model.
 	Implicit
 )
 
@@ -789,13 +789,8 @@ type Network[P any] struct {
 	// word walk yields listeners in ascending id order.
 	sparse sparseScratch
 
-	// Dense-engine state: bitset adjacency rows (cached on the graph),
-	// flattened for direct word indexing in the listener loop, and their
-	// per-row nonzero word windows.
-	adjBits      *bitset.Matrix
-	adjWords     []uint64 // row u's words at [u*adjStride, (u+1)*adjStride)
-	adjStride    int
-	rowLo, rowHi []int32
+	// Dense-engine state: the graph's cached adjacency rows.
+	denseAdjacency
 
 	// prefetchSink absorbs the blocked dense listener loop's prefetch
 	// loads so the compiler cannot elide them. Per-network (not package
@@ -804,7 +799,7 @@ type Network[P any] struct {
 
 	// Implicit-engine state: the per-round transmitting-neighbour counter
 	// built from the graph's closed-form model. Owned by this network —
-	// counters are stateful between Begin and Count and not safe to share.
+	// counters are stateful within a round and not safe to share.
 	counter graph.TxCounter
 
 	// scratchTx is the packed broadcast set the Step adapter assembles
@@ -822,9 +817,10 @@ type Network[P any] struct {
 
 // implicitMinN is the node count from which Auto prefers Implicit over
 // Dense when the graph has a closed-form model: at n ≥ 4096 the Θ(n²/8)
-// bit matrix exceeds L2-cache scale and the O(n)-per-round closed-form
-// counter wins (and keeps winning all the way to n = 10⁶, where the
-// matrix cannot even be allocated). It deliberately matches
+// bit matrix exceeds L2-cache scale and the closed-form counter's
+// O(n/64) words plus O(unique listeners) resolutions per round win (and
+// keep winning all the way to n = 10⁶, where the matrix cannot even be
+// allocated). It deliberately matches
 // denseBlockMinStride·64: below it Dense runs unblocked, above it the
 // only graphs still on Dense are model-less ones, which get the blocked
 // loop.
@@ -837,7 +833,7 @@ const implicitMinN = 4096
 // the graph has a closed-form model and is past the bit-matrix cache
 // ceiling — and Sparse for everything else. Sparse-leaning topologies
 // with models (paths, stars) stay sparse: O(Σ deg) per round beats the
-// implicit engine's O(n) there.
+// implicit engine's O(n/64) words plus per-listener resolutions there.
 func autoEngine(g *graph.Graph) Engine {
 	if !g.HasCSR() {
 		return Implicit
@@ -888,10 +884,7 @@ func New[P any](g *graph.Graph, cfg Config, rnd *rng.Stream) (*Network[P], error
 	}
 	switch engine {
 	case Dense:
-		n.adjBits = g.AdjacencyBits()
-		n.adjWords = n.adjBits.Words()
-		n.adjStride = n.adjBits.Stride()
-		n.rowLo, n.rowHi = n.adjBits.RowRanges()
+		n.denseAdjacency = newDenseAdjacency(g)
 	case Implicit:
 		n.counter = g.NeighborModel().NewTxCounter()
 	default:
@@ -933,6 +926,38 @@ func (n *Network[P]) Reset(rnd *rng.Stream) {
 	}
 	n.draw.reset()
 	n.noisySites = n.noisySites[:0]
+}
+
+// detach drops n's references to its graph and to the graph's cached
+// adjacency, so an idle pooled network keeps neither alive; attach
+// restores them for g. Pool calls detach on Put and attach on Get.
+func (n *Network[P]) detach() {
+	n.g, n.draw.g, n.denseAdjacency = nil, nil, denseAdjacency{}
+}
+
+func (n *Network[P]) attach(g *graph.Graph) {
+	n.g = g
+	if n.draw.mode == drawJam {
+		n.draw.g = g
+	}
+	if n.engine == Dense {
+		n.denseAdjacency = newDenseAdjacency(g)
+	}
+}
+
+// denseAdjacency is the dense engine's view of a graph's adjacency bit
+// matrix (cached on the graph): the rows flattened for direct word
+// indexing in the listener loop, and their per-row nonzero word windows.
+type denseAdjacency struct {
+	adjWords     []uint64 // row u's words at [u*adjStride, (u+1)*adjStride)
+	adjStride    int
+	rowLo, rowHi []int32
+}
+
+func newDenseAdjacency(g *graph.Graph) denseAdjacency {
+	m := g.AdjacencyBits()
+	lo, hi := m.RowRanges()
+	return denseAdjacency{adjWords: m.Words(), adjStride: m.Stride(), rowLo: lo, rowHi: hi}
 }
 
 // Graph returns the underlying graph.
@@ -1406,10 +1431,11 @@ func (n *Network[P]) denseListenersBlocked(txw []uint64, txLo, txHi int, payload
 
 // stepSetImplicit is the closed-form engine: no adjacency is consulted at
 // all. The graph's TxCounter aggregates the round's broadcast set once
-// (Begin), then answers every listener's transmitting-neighbour count in
-// O(1) — O(n) work per round, independent of density, with O(1) per-node
-// state. Broadcasters are marked and listeners resolved in ascending id
-// order, the canonical draw order shared with the other engines.
+// (Begin) and then classifies listeners 64 at a time — O(n/64) words plus
+// O(unique listeners) resolutions per round, independent of density, with
+// O(1) per-node state. Broadcasters are marked and listeners resolved in
+// ascending id order, the canonical draw order shared with the other
+// engines.
 func (n *Network[P]) stepSetImplicit(tx *bitset.Set, payload []P, rx *bitset.Set, deliver func(d Delivery[P])) {
 	txw := tx.Words()
 	txLo, txHi := tx.NonzeroRange()
@@ -1418,19 +1444,78 @@ func (n *Network[P]) stepSetImplicit(tx *bitset.Set, payload []P, rx *bitset.Set
 	}
 	n.markBroadcasters(txw, txLo, txHi)
 	n.counter.Begin(tx)
-	nn := n.g.N()
-	for u := 0; u < nn; u++ {
-		if txw[u>>6]&(1<<(uint(u)&63)) != 0 {
-			continue // transmitting nodes do not listen
+	w := newImplicitWalk(n.counter, txw, deliver == nil && n.trace == nil && n.cfg.Fault != ReceiverFaults)
+	for w.next() {
+		if !w.whole {
+			n.resolveUnique(w.u, w.from, payload, rx, deliver)
+			continue
 		}
-		count, from := n.counter.Count(int32(u))
-		switch {
-		case count > 1:
-			n.stats.Collisions++
-		case count == 1:
-			n.resolveUnique(int32(u), from, payload, rx, deliver)
+		if n.cfg.Fault == SenderFaults && n.senderNoise[w.from] {
+			continue // content destroyed at the sender
+		}
+		n.stats.Deliveries += int64(bits.OnesCount64(w.unique))
+		if rx != nil {
+			rx.OrWord(w.wi, w.unique)
 		}
 	}
+	n.stats.Collisions += w.collisions
+}
+
+// implicitWalk is the word-level implicit resolve shared by the scalar
+// engine and every batch lane. Over a counter that has seen the round's
+// broadcast set txw it visits the listeners one word of 64 at a time:
+// collided listeners are counted by popcount into collisions; unique
+// listeners are yielded one by one in ascending id order — the order
+// receiver-fault draws and the callbacks need — unless bulk is set (no
+// receiver draws, no trace, no deliver callback) and the counter names
+// the round's sole sender, in which case each word's unique listeners
+// are yielded whole, to be credited at once exactly as per-listener
+// resolution would credit them.
+type implicitWalk struct {
+	c    graph.TxCounter
+	txw  []uint64
+	bulk bool
+	sole int32
+
+	wi         int    // current word
+	pending    uint64 // unique listeners of word wi not yet yielded
+	collisions int64  // collided listeners of the words visited so far
+
+	// The yielded step: a whole word (unique, from the sole sender from),
+	// or one listener u whose unique sender is from.
+	whole  bool
+	unique uint64
+	u      int32
+	from   int32
+}
+
+func newImplicitWalk(c graph.TxCounter, txw []uint64, bulk bool) implicitWalk {
+	return implicitWalk{c: c, txw: txw, bulk: bulk, sole: c.Sole(), wi: -1}
+}
+
+// next advances to the next step, reporting false when the round's
+// listeners are exhausted.
+func (w *implicitWalk) next() bool {
+	for w.pending == 0 {
+		if w.wi++; w.wi >= len(w.txw) {
+			return false
+		}
+		unique, collided := w.c.Word(w.wi)
+		t := w.txw[w.wi] // transmitting nodes do not listen
+		w.collisions += int64(bits.OnesCount64(collided &^ t))
+		if w.pending = unique &^ t; w.pending != 0 && w.bulk && w.sole >= 0 {
+			w.whole, w.unique, w.from = true, w.pending, w.sole
+			w.pending = 0
+			return true
+		}
+	}
+	w.whole = false
+	w.u = int32(w.wi*64 + bits.TrailingZeros64(w.pending))
+	w.pending &= w.pending - 1
+	if w.from = w.sole; w.from < 0 {
+		w.from = w.c.From(w.u)
+	}
+	return true
 }
 
 // finishRound clears the sender-fault flags set this round — off the

@@ -10,23 +10,33 @@ import (
 )
 
 // TestStepSetZeroAllocs pins the acceptance bar for the set-native round
-// path: zero allocations per round on both engines, for every fault
-// model, with batched rx accumulation.
+// path: zero allocations per round on every engine, for every fault
+// model, with batched rx accumulation and with a deliver callback. The
+// callback is a closure over a local built inside the measured round, so
+// an engine that let deliver escape to the heap would allocate it every
+// round.
 func TestStepSetZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	top := graph.GNP(512, 0.25, rng.New(3))
+	gnp := graph.GNP(512, 0.25, rng.New(3))
 	configs := []Config{
 		{Fault: Faultless},
 		{Fault: SenderFaults, P: 0.3},
 		{Fault: ReceiverFaults, P: 0.3},
 	}
-	for _, eng := range []Engine{Sparse, Dense} {
+	for _, m := range []struct {
+		eng Engine
+		top graph.Topology
+	}{
+		{Sparse, gnp},
+		{Dense, gnp},
+		{Implicit, graph.ImplicitComplete(512)},
+	} {
 		for _, cfg := range configs {
-			cfg.Engine = eng
-			net := MustNew[int32](top.G, cfg, rng.New(7))
-			n := top.G.N()
+			cfg.Engine = m.eng
+			net := MustNew[int32](m.top.G, cfg, rng.New(7))
+			n := m.top.G.N()
 			payload := make([]int32, n)
 			tx := bitset.New(n)
 			rx := bitset.New(n)
@@ -41,7 +51,14 @@ func TestStepSetZeroAllocs(t *testing.T) {
 				net.StepSet(tx, payload, rx, nil)
 			})
 			if allocs != 0 {
-				t.Errorf("%v/%v: StepSet allocates %.1f per round, want 0", eng, cfg.Fault, allocs)
+				t.Errorf("%v/%v: StepSet allocates %.1f per round, want 0", m.eng, cfg.Fault, allocs)
+			}
+			allocs = testing.AllocsPerRun(100, func() {
+				delivered := 0
+				net.StepSet(tx, payload, nil, func(d Delivery[int32]) { delivered++ })
+			})
+			if allocs != 0 {
+				t.Errorf("%v/%v: StepSet with a deliver callback allocates %.1f per round, want 0", m.eng, cfg.Fault, allocs)
 			}
 		}
 	}
