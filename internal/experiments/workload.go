@@ -26,6 +26,9 @@ func WorkloadTopology(name string, n int) (graph.Topology, error) {
 	if n < 2 {
 		return graph.Topology{}, fmt.Errorf("topology %s needs n >= 2, got %d", name, n)
 	}
+	if err := checkMaxN(n); err != nil {
+		return graph.Topology{}, err
+	}
 	implicit := n >= LargeNImplicit
 	switch name {
 	case "path":
@@ -98,6 +101,9 @@ func ScheduleWorkload(sched *broadcast.Schedule, topology string, n, k int, seed
 	if n < 2 {
 		return graph.Topology{}, broadcast.ScheduleParams{}, fmt.Errorf("schedule run needs n >= 2, got %d", n)
 	}
+	if err := checkMaxN(n); err != nil {
+		return graph.Topology{}, broadcast.ScheduleParams{}, err
+	}
 	if k < 1 {
 		return graph.Topology{}, broadcast.ScheduleParams{}, fmt.Errorf("schedule run needs k >= 1, got %d", k)
 	}
@@ -127,4 +133,14 @@ func ScheduleWorkload(sched *broadcast.Schedule, topology string, n, k int, seed
 		}
 		return top, p, nil
 	}
+}
+
+// checkMaxN rejects workload sizes whose node ids overflow the graph
+// layer's int32 storage, for every schedule: those that build their own
+// graphs (star, WCT, path pipelines) as well as the named topologies.
+func checkMaxN(n int) error {
+	if n > math.MaxInt32 {
+		return fmt.Errorf("n must be <= %d (node ids are int32), got %d", math.MaxInt32, n)
+	}
+	return nil
 }

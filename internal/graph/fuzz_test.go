@@ -2,14 +2,17 @@ package graph
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
 // FuzzBuilder fuzzes Builder input validation and the CSR invariants of
 // the built graph: sorted strictly-increasing neighbour lists (no
 // duplicates), no self-loops, symmetry, consistent degree accounting, and
-// agreement with the bit-matrix adjacency view. Seed corpus lives in
-// testdata/fuzz/FuzzBuilder.
+// agreement with the bit-matrix adjacency view. It also requires offsets
+// and adjacency identical to referenceBuild, the comparison-sort
+// construction, so engine decisions and draws cannot drift. Seed corpus
+// lives in testdata/fuzz/FuzzBuilder.
 func FuzzBuilder(f *testing.F) {
 	f.Add(uint64(0), []byte{})
 	f.Add(uint64(1), []byte{0, 0})
@@ -39,6 +42,10 @@ func FuzzBuilder(f *testing.F) {
 		}
 		if g.N() != n {
 			t.Fatalf("N() = %d, want %d", g.N(), n)
+		}
+		wantOffsets, wantAdj := referenceBuild(n, b.edges)
+		if !slices.Equal(g.offsets, wantOffsets) || !slices.Equal(g.adj, wantAdj) {
+			t.Fatalf("CSR differs from referenceBuild:\noffsets %v\n   want %v\nadj %v\nwant %v", g.offsets, wantOffsets, g.adj, wantAdj)
 		}
 		degSum := 0
 		for v := 0; v < n; v++ {

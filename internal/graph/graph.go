@@ -12,6 +12,8 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -49,7 +51,14 @@ type Graph struct {
 // ErrEmptyGraph indicates a construction with no vertices.
 var ErrEmptyGraph = errors.New("graph: graph must have at least one vertex")
 
-// Builder accumulates edges for a Graph.
+// ErrTooLarge indicates a construction whose vertex ids or CSR offsets do
+// not fit the int32 storage: more than math.MaxInt32 vertices, or edges
+// whose two orientations number more than math.MaxInt32.
+var ErrTooLarge = errors.New("graph: graph exceeds int32 storage")
+
+// Builder accumulates edges for a Graph. Build turns them into CSR form
+// by counting, in O(n + m) time plus a sort for any neighbour row the
+// edges list out of ascending order.
 type Builder struct {
 	n     int
 	edges [][2]int32
@@ -70,40 +79,70 @@ func (b *Builder) AddEdge(u, v int) {
 	b.edges = append(b.edges, [2]int32{int32(u), int32(v)})
 }
 
-// Build finalises the graph. It returns ErrEmptyGraph for n == 0.
+// Build finalises the graph: each vertex's neighbour list holds every
+// other endpoint of its recorded edges, ascending, without self-loops or
+// duplicates. It counts degrees, prefix-sums them into offsets and
+// scatters the neighbours in insertion order, then sorts only the rows
+// the edges listed out of order and removes duplicates in place. It
+// allocates only the graph, its offsets and its adjacency. It returns
+// ErrEmptyGraph for n == 0 and ErrTooLarge, before allocating, when the
+// vertex count, or twice the number of recorded edges (self-loops and
+// duplicates included), exceeds math.MaxInt32.
 func (b *Builder) Build() (*Graph, error) {
 	if b.n <= 0 {
 		return nil, ErrEmptyGraph
 	}
-	// Collect both directions, drop self loops, sort, dedupe.
-	dir := make([][2]int32, 0, 2*len(b.edges))
-	for _, e := range b.edges {
-		if e[0] == e[1] {
-			continue
-		}
-		dir = append(dir, e, [2]int32{e[1], e[0]})
+	if err := checkSize(b.n, len(b.edges)); err != nil {
+		return nil, err
 	}
-	sort.Slice(dir, func(i, j int) bool {
-		if dir[i][0] != dir[j][0] {
-			return dir[i][0] < dir[j][0]
+	offsets := make([]int32, b.n+1)
+	for _, e := range b.edges {
+		if e[0] != e[1] {
+			offsets[e[0]+1]++
+			offsets[e[1]+1]++
 		}
-		return dir[i][1] < dir[j][1]
-	})
-	g := &Graph{n: b.n, offsets: make([]int32, b.n+1)}
-	g.adj = make([]int32, 0, len(dir))
-	var prev [2]int32 = [2]int32{-1, -1}
-	for _, e := range dir {
-		if e == prev {
-			continue
-		}
-		prev = e
-		g.adj = append(g.adj, e[1])
-		g.offsets[e[0]+1]++
 	}
 	for i := 0; i < b.n; i++ {
-		g.offsets[i+1] += g.offsets[i]
+		offsets[i+1] += offsets[i]
 	}
-	return g, nil
+	// Scatter with offsets[v] as row v's cursor; afterwards it holds the
+	// end of row v, the start of row v+1.
+	adj := make([]int32, offsets[b.n])
+	for _, e := range b.edges {
+		u, v := e[0], e[1]
+		if u != v {
+			adj[offsets[u]] = v
+			offsets[u]++
+			adj[offsets[v]] = u
+			offsets[v]++
+		}
+	}
+	// Sort and dedupe each row, compacting rows and offsets leftwards.
+	var lo, w int32
+	for v := 0; v < b.n; v++ {
+		hi := offsets[v]
+		row := adj[lo:hi]
+		if !slices.IsSorted(row) {
+			slices.Sort(row)
+		}
+		offsets[v] = w
+		w += int32(copy(adj[w:], slices.Compact(row)))
+		lo = hi
+	}
+	offsets[b.n] = w
+	return &Graph{n: b.n, offsets: offsets, adj: adj[:w]}, nil
+}
+
+// checkSize returns ErrTooLarge when n vertices, or the 2·edges CSR
+// entries of that many recorded edges, overflow int32 ids and offsets.
+func checkSize(n, edges int) error {
+	if n > math.MaxInt32 {
+		return fmt.Errorf("%w: %d vertices, limit %d", ErrTooLarge, n, math.MaxInt32)
+	}
+	if edges > math.MaxInt32/2 {
+		return fmt.Errorf("%w: %d edges, limit %d", ErrTooLarge, edges, math.MaxInt32/2)
+	}
+	return nil
 }
 
 // MustBuild is Build but panics on error; for use in generators whose

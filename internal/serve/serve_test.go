@@ -265,6 +265,11 @@ func TestRejectsBadSpecs(t *testing.T) {
 		"p out of range":   func(s *benchreport.JobSpec) { s.P = 1.5 },
 		"tiny n":           func(s *benchreport.JobSpec) { s.N = 1 },
 		"fastbc implicit":  func(s *benchreport.JobSpec) { s.Schedule = "fastbc"; s.N = 8192 },
+		"n beyond int32":   func(s *benchreport.JobSpec) { s.Topology = "complete"; s.N = math.MaxInt32 + 1 },
+		"star n beyond int32": func(s *benchreport.JobSpec) {
+			s.Schedule = "star-routing"
+			s.N = math.MaxInt32 + 1
+		},
 	}
 	for name, mut := range cases {
 		spec := testSpec()
